@@ -22,7 +22,7 @@ from .linalg import (
     transition_check,
     characterizing_operators,
 )
-from .compare import OperatorPair, covv, rv, rv_triples, rv_max
+from .compare import covv, rv, rv_triples, rv_max
 from .scree import ScreeRow, ScreeTable
 from .methods import (
     ContingencyTable,
@@ -72,7 +72,6 @@ __all__ = [
     "decompose_gram_metric",
     "transition_check",
     "characterizing_operators",
-    "OperatorPair",
     "covv",
     "rv",
     "rv_triples",

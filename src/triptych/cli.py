@@ -141,9 +141,6 @@ def _emit(args, result: MethodResult, inputs: list[str],
         _print_scree(result)
         return 0
     q = args.axes
-    if q < 1:
-        print("error: --axes must be at least 1", file=sys.stderr)
-        return 2
     available = result.row_coords.shape[1]
     if q > available:
         raise ValueError(f"requested {q} axes but only {available} are available")
@@ -213,9 +210,6 @@ def _cmd_lda(args) -> int:
 
 
 def _cmd_pcaiv(args) -> int:
-    if args.axes is not None and args.axes < 1:
-        print("error: --axes must be at least 1", file=sys.stderr)
-        return 2
     xds = read_table(args.table, "measurements", args.delimiter)
     yds = read_table(args.response, "measurements", args.delimiter)
     Y = _align_rows(yds, xds.row_labels, args.response)
@@ -311,9 +305,6 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_graph_regress(args) -> int:
-    if args.axes is not None and args.axes < 1:
-        print("error: --axes must be at least 1", file=sys.stderr)
-        return 2
     g = read_edges(args.edges, args.delimiter)
     ds = read_table(args.table, "measurements", args.delimiter)
     X = _align_rows(ds, g.node_labels, args.table)
@@ -349,6 +340,9 @@ def run_command(argv) -> int:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    if getattr(args, "axes", None) is not None and args.axes < 1:
+        print("error: --axes must be at least 1", file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

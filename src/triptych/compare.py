@@ -18,22 +18,7 @@ import numpy as np
 
 from .linalg import Triple, characterizing_operators
 
-__all__ = ["OperatorPair", "covv", "rv", "rv_triples", "rv_max"]
-
-
-class OperatorPair:
-    """A pair of same-size square operators on a shared observation set.
-
-    Thin validated container; the comparison functions also accept raw
-    arrays.
-    """
-
-    def __init__(self, O1, O2):
-        O1 = np.asarray(O1, dtype=float)
-        O2 = np.asarray(O2, dtype=float)
-        _check_pair(O1, O2)
-        self.O1 = O1
-        self.O2 = O2
+__all__ = ["covv", "rv", "rv_triples", "rv_max"]
 
 
 def _check_pair(O1: np.ndarray, O2: np.ndarray) -> None:

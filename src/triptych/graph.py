@@ -25,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .linalg import _as_float_matrix, _frozen, _orient_columns
-from .methods import MethodResult, pcaiv
+from .methods import MethodResult, _check_labels, pcaiv
 
 __all__ = [
     "Graph",
@@ -83,14 +83,7 @@ def make_graph(adjacency, node_labels=None) -> Graph:
     loops = np.flatnonzero(np.diagonal(M))
     if loops.size:
         raise ValueError(f"self loops are not allowed (node {int(loops[0])})")
-    if node_labels is None:
-        labels = tuple(f"v{i + 1}" for i in range(n))
-    else:
-        labels = tuple(str(x) for x in node_labels)
-        if len(labels) != n:
-            raise ValueError(f"expected {n} node labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise ValueError("duplicate node labels")
+    labels = _check_labels(node_labels, n, "node", "v")
     degrees = M.sum(axis=1)
     return Graph(
         adjacency=_frozen(M),
@@ -280,17 +273,11 @@ def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> Gra
     _orient_columns(vectors)
     eigenvalues = np.array([mus[i] for i in take])
     return GraphSpectrum(
-        eigenvalues=_freeze_vector(eigenvalues),
+        eigenvalues=_frozen(eigenvalues),
         vectors=_frozen(vectors),
         trivial_dropped=True,
         n_components=n_comp,
     )
-
-
-def _freeze_vector(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def layout(g: Graph) -> np.ndarray:

@@ -4,8 +4,15 @@ The central object is the :class:`Triple`: a data matrix ``X`` (n
 observations by p variables) together with a symmetric positive-definite
 variable metric ``Q`` (p by p) and observation weights ``D`` (n by n,
 usually diagonal).  Every analysis in this package reduces to the
-generalized eigendecomposition of such a triple, computed here by
-:func:`decompose` through a Cholesky-plus-SVD factorization.
+generalized eigendecomposition of such a triple, computed by one core
+routine: factor the weights as ``K.T @ K = D`` and the metric as
+``G.T @ G = Q``, take the singular value decomposition of
+``K @ X @ G.T``, solve for the component basis and recover the axis basis
+through the transition identity below.  Signs are fixed on the axis
+basis.  The two public entry points differ only in how they factor the
+metric: :func:`decompose` by Cholesky of a positive-definite ``Q``,
+:func:`decompose_gram_metric` by eigendecomposition of a semidefinite
+one.
 
 Two square operators characterize a triple: ``V @ Q`` acting on variable
 space and ``W @ D`` acting on observation space, where ``V = X.T @ D @ X``
@@ -272,24 +279,42 @@ def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
                 other[:, j] = -other[:, j]
 
 
-def _build_decomposition(
-    lam_all: np.ndarray,
-    axis_basis: np.ndarray,
-    component_basis: np.ndarray,
-    rank_request: int | None,
+def _solve_upper(F: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``inv(F) @ B`` for an upper-triangular factor, diagonal fast path."""
+    if _is_diagonal(F):
+        return B / np.diagonal(F)[:, None]
+    return solve_triangular(F, B, lower=False)
+
+
+def _decompose_factored(
+    X: np.ndarray, K: np.ndarray, G: np.ndarray, rank_request: int | None,
 ) -> Decomposition:
-    """Assemble a Decomposition from the full spectrum and orthonormal bases
-    (already sign-oriented, columns sorted by decreasing eigenvalue)."""
+    """Shared core: decomposition of ``X`` from a weight factor ``K``
+    (``K.T @ K = D``, upper triangular) and any metric factor ``G``
+    (``G.T @ G = Q``)."""
+    n, p = X.shape
+    if rank_request is not None:
+        if rank_request < 0:
+            raise ValueError("rank_request must be nonnegative")
+        if rank_request > min(n, p):
+            raise ValueError(
+                f"rank_request {rank_request} exceeds min(n, p) = {min(n, p)}"
+            )
+    KX = K @ X
+    U, s, _ = svd(KX @ G.T, full_matrices=False)
+    lam_all = s**2
     lam1 = lam_all[0] if lam_all.size else 0.0
-    threshold = ZERO_EIGENVALUE_RTOL * max(lam1, 1.0)
-    rank = int(np.count_nonzero(lam_all > threshold))
-    eigenvalues = lam_all[:rank]
+    rank = int(np.count_nonzero(lam_all > ZERO_EIGENVALUE_RTOL * max(lam1, 1.0)))
     n_axes = rank if rank_request is None else min(rank_request, rank)
-    s = np.sqrt(eigenvalues[:n_axes])
-    Z = axis_basis[:, :n_axes]
-    L = component_basis[:, :n_axes]
+    s, U = s[:n_axes], U[:, :n_axes]
+    # Transition identity: axis_basis = X.T @ D @ component_basis / s, and
+    # D @ component_basis = K.T @ U.
+    Z = KX.T @ U / s
+    L = _solve_upper(K, U)
+    _orient_columns(Z, L)
+    eigenvalues = lam_all[:rank]
     return Decomposition(
-        eigenvalues=_frozen_vector(eigenvalues),
+        eigenvalues=_frozen(eigenvalues),
         rank=rank,
         n_axes=n_axes,
         axis_basis=_frozen(Z),
@@ -301,22 +326,18 @@ def _build_decomposition(
     )
 
 
-def _frozen_vector(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
     """Generalized eigendecomposition of a triple.
 
-    Factors the metric and weights as ``H.T @ H = Q`` and ``K.T @ K = D``,
-    takes the singular value decomposition ``K @ X @ H.T = U @ S @ T.T``,
-    and maps the factors back: the axis basis is ``inv(H) @ T``, the
-    component basis ``inv(K) @ U``, and the eigenvalues are the squared
-    singular values.  Column signs are fixed by orienting each column of
-    the right singular factor so its largest-magnitude entry is positive,
-    which makes the output deterministic.
+    Factors the metric and weights by Cholesky, ``H.T @ H = Q`` and
+    ``K.T @ K = D``, and hands both factors to the shared core.  The core
+    takes the singular value decomposition ``K @ X @ H.T = U @ S @ T.T``;
+    the eigenvalues are the squared singular values, the component basis
+    is ``inv(K) @ U`` and the axis basis comes from the transition
+    identity ``X.T @ D @ component_basis / s`` (equal to ``inv(H) @ T``).
+    Column signs are fixed by orienting each axis-basis column so its
+    largest-magnitude entry is positive, which makes the output
+    deterministic.
 
     Parameters
     ----------
@@ -334,36 +355,13 @@ def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
     Raises
     ------
     ValueError
-        If ``rank_request`` exceeds ``min(n, p)``.
+        If ``rank_request`` is negative or exceeds ``min(n, p)``.
     numpy.linalg.LinAlgError
         If the singular value decomposition fails to converge.
     """
-    n, p = t.data.shape
-    if rank_request is not None:
-        if rank_request < 0:
-            raise ValueError("rank_request must be nonnegative")
-        if rank_request > min(n, p):
-            raise ValueError(
-                f"rank_request {rank_request} exceeds min(n, p) = {min(n, p)}"
-            )
     H = _cholesky_upper(t.metric, "Q")
     K = _cholesky_upper(t.weights, "D")
-    try:
-        U, s, Tt = svd(K @ t.data @ H.T, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails
-        raise np.linalg.LinAlgError(f"SVD did not converge: {exc}") from exc
-    T = Tt.T.copy()
-    U = U.copy()
-    _orient_columns(T, U)
-    if _is_diagonal(H):
-        Z = T / np.diagonal(H)[:, None]
-    else:
-        Z = solve_triangular(H, T, lower=False)
-    if _is_diagonal(K):
-        L = U / np.diagonal(K)[:, None]
-    else:
-        L = solve_triangular(K, U, lower=False)
-    return _build_decomposition(s**2, Z, L, rank_request)
+    return _decompose_factored(t.data, K, H, rank_request)
 
 
 def decompose_gram_metric(
@@ -374,12 +372,13 @@ def decompose_gram_metric(
 
     Used when the variable metric is a Gram-type product (as in
     instrumental-variable analyses) and therefore only positive
-    semidefinite.  The metric is factored through its eigendecomposition
-    instead of a Cholesky, the weight side is solved as in
-    :func:`decompose`, and the axis basis is recovered through the
-    transition identity ``axis_basis = X.T @ D @ component_basis / s``.
-    Axes are confined to the range of the metric.  Signs are fixed by
-    orienting the axis-basis columns.
+    semidefinite.  The metric is factored through its eigendecomposition,
+    ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
+    instead of a Cholesky; a significantly negative eigenvalue is
+    rejected.  Everything else is the core shared with
+    :func:`decompose`: the same weight-side solve, rank cut, transition
+    identity for the axis basis and sign orientation on the axis basis.
+    ``rank_request`` is validated as there.
 
     The strict :func:`make_triple` path intentionally rejects semidefinite
     metrics; this routine is the sanctioned detour for metrics that are
@@ -388,33 +387,13 @@ def decompose_gram_metric(
     X = _as_float_matrix(X, "X")
     metric = _symmetrize(_as_float_matrix(metric, "metric"), "metric")
     weights = _symmetrize(_as_float_matrix(weights, "weights"), "weights")
-    n, p = X.shape
-    if rank_request is not None and rank_request > min(n, p):
-        raise ValueError(
-            f"rank_request {rank_request} exceeds min(n, p) = {min(n, p)}"
-        )
     w, E = np.linalg.eigh(metric)
     scale = max(w[-1], 0.0) if w.size else 0.0
     keep = w > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
     if np.any(w < -1e-8 * max(scale, 1.0)):
         raise ValueError("metric has a significantly negative eigenvalue")
-    # G.T @ G reproduces the metric on its range; G has one row per
-    # positive metric eigenvalue.
     G = (E[:, keep] * np.sqrt(w[keep])).T
-    K = _cholesky_upper(weights, "D")
-    U, s, _ = svd(K @ X @ G.T, full_matrices=False)
-    if _is_diagonal(K):
-        L = U / np.diagonal(K)[:, None]
-    else:
-        L = solve_triangular(K, U, lower=False)
-    lam_all = s**2
-    lam1 = lam_all[0] if lam_all.size else 0.0
-    positive = s > np.sqrt(ZERO_EIGENVALUE_RTOL * max(lam1, 1.0))
-    Z = np.zeros((p, s.shape[0]))
-    XtDL = X.T @ weights @ L
-    Z[:, positive] = XtDL[:, positive] / s[positive]
-    _orient_columns(Z, L)
-    return _build_decomposition(lam_all, Z, L, rank_request)
+    return _decompose_factored(X, _cholesky_upper(weights, "D"), G, rank_request)
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
         groups = GroupCoding.from_labels(groups)
     X = _as_float_matrix(X, "X")
     Y = groups.indicator
-    n, p = X.shape
+    n = X.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"groups describe {Y.shape[0]} rows, data has {n}")
     g = Y.shape[1]
@@ -365,7 +365,7 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
         raise ValueError("lda needs at least two groups")
     w = _normalized_weights(weights, n)
     D = np.diag(w)
-    Xc = center_columns(make_triple(X, np.eye(p), D)).data
+    Xc = X - w @ X
     T = _symmetrize(Xc.T @ D @ Xc, "T")
     Ti = _spd_inverse(
         T, "total covariance",
@@ -443,14 +443,14 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     """
     X = _as_float_matrix(X, "X")
     Y = _as_float_matrix(Y, "Y")
-    n, p = X.shape
+    n = X.shape[0]
     if Y.shape[0] != n:
         raise ValueError(f"X and Y must have equal row counts, got {n} and {Y.shape[0]}")
     if q is not None and q < 1:
         raise ValueError("q must be at least 1")
     w = _normalized_weights(weights, n)
     D = np.diag(w)
-    Xc = center_columns(make_triple(X, np.eye(p), D)).data
+    Xc = X - w @ X
     Yc = Y - w @ Y
     if response_metric is None:
         Qy = np.eye(Y.shape[1])
@@ -482,7 +482,7 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
         extras={
             "instrumental_metric": R,
             "constrained_metric": constrained,
-            "fitted_operator": Xc @ R @ Xc.T @ D,
+            "fitted_operator": (Xc @ R @ Xc.T) * w,
             "fitted_responses": Xc @ (Sxxi @ Sxy),
             "response_metric": Qy,
         },
@@ -523,8 +523,8 @@ def cca(X1, X2, weights=None) -> MethodResult:
         )
     w = _normalized_weights(weights, n)
     D = np.diag(w)
-    X1c = center_columns(make_triple(X1, np.eye(X1.shape[1]), D)).data
-    X2c = center_columns(make_triple(X2, np.eye(X2.shape[1]), D)).data
+    X1c = X1 - w @ X1
+    X2c = X2 - w @ X2
     S11i = _spd_inverse(
         _symmetrize(X1c.T @ D @ X1c, "S11"), "block-1 covariance",
         "reduce dimensionality of the first block",

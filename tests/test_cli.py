@@ -358,3 +358,13 @@ class TestGraphCommands:
         assert "method: graph_regress" in manifest
         assert "k: 2" in manifest
         assert "explained_share:" in manifest
+
+    def test_graph_regress_axes_zero_usage_error(self, tmp_path, capsys):
+        edges = tmp_path / "net.csv"
+        edges.write_text("a,b\nb,c\nc,d\nd,a\na,c\n")
+        table = tmp_path / "cov.csv"
+        table.write_text("id,f1,f2\na,1,0.5\nb,2,-0.5\nc,1.5,1\nd,0.5,2\n")
+        assert run_command(
+            ["graph-regress", str(edges), str(table), "--k", "2", "--axes", "0"]
+        ) == 2
+        assert "--axes must be at least 1" in capsys.readouterr().err

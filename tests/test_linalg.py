@@ -215,19 +215,29 @@ class TestDecompose:
             decompose(t, rank_request=4)
         with pytest.raises(ValueError, match="nonnegative"):
             decompose(t, rank_request=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            decompose_gram_metric(t.data, t.metric, t.weights, rank_request=-1)
         assert decompose(t, rank_request=0).n_axes == 0
 
     def test_sign_convention_identity_metric(self):
-        # with Q = I the axis basis equals the right singular factor, whose
-        # columns are oriented so the largest-magnitude entry is positive
+        # axis-basis columns are oriented so the largest-magnitude entry is
+        # positive: for Q = I, a random SPD Q, and a rank-deficient PSD Q
+        # through the semidefinite path
         rng = np.random.default_rng(11)
+        D = np.eye(7) / 7
         for _ in range(5):
             X = rng.standard_normal((7, 4))
-            t = make_triple(X, np.eye(4), np.eye(7) / 7)
-            Z = decompose(t).axis_basis
-            for j in range(Z.shape[1]):
-                col = Z[:, j]
-                assert col[np.argmax(np.abs(col))] > 0
+            B = rng.standard_normal((4, 2))
+            bases = [
+                decompose(make_triple(X, np.eye(4), D)).axis_basis,
+                decompose(make_triple(X, random_spd(rng, 4), D)).axis_basis,
+                decompose_gram_metric(X, B @ B.T, D).axis_basis,
+            ]
+            for Z in bases:
+                assert Z.shape[1] > 0
+                for j in range(Z.shape[1]):
+                    col = Z[:, j]
+                    assert col[np.argmax(np.abs(col))] > 0
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(12)
@@ -282,10 +292,8 @@ class TestGramMetricPath:
         strict = decompose(make_triple(X, Q, D))
         gram = decompose_gram_metric(X, Q, D)
         npt.assert_allclose(gram.eigenvalues, strict.eigenvalues, rtol=1e-9)
-        for j in range(strict.n_axes):
-            a, b = strict.axis_basis[:, j], gram.axis_basis[:, j]
-            cos = abs(a @ Q @ b)
-            npt.assert_allclose(cos, 1.0, atol=1e-8)
+        # both paths share one sign orientation, so the bases agree signed
+        npt.assert_allclose(gram.axis_basis, strict.axis_basis, atol=1e-8)
 
     def test_zero_metric(self):
         d = decompose_gram_metric(np.ones((4, 3)), np.zeros((3, 3)), np.eye(4) / 4)
