@@ -121,7 +121,8 @@ def _align_rows(ds: Dataset, labels, context: str) -> np.ndarray:
     missing = [lab for lab in labels if lab not in pos]
     if missing:
         raise ValueError(f"{context}: missing rows for {missing[:5]}")
-    extra = [lab for lab in ds.row_labels if lab not in set(labels)]
+    wanted = set(labels)
+    extra = [lab for lab in ds.row_labels if lab not in wanted]
     if extra:
         raise ValueError(f"{context}: unexpected extra rows {extra[:5]}")
     return ds.matrix[[pos[lab] for lab in labels]]

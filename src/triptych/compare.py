@@ -62,9 +62,9 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
     """RV coefficient between the observation-space operators of two triples.
 
     The triples must describe the same observations: equal row counts and
-    identical weight matrices.  (Both trace formulas weight observation
-    pairs through the common ``D``; comparing across different weightings
-    is not meaningful.)
+    identical weight vectors.  (Both trace formulas weight observation
+    pairs through the common ``D = diag(weights)``; comparing across
+    different weightings is not meaningful.)
     """
     if t1.n_observations != t2.n_observations:
         raise ValueError(

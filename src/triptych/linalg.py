@@ -2,15 +2,16 @@
 
 The central object is the :class:`Triple`: a data matrix ``X`` (n
 observations by p variables) together with a symmetric positive-definite
-variable metric ``Q`` (p by p) and observation weights ``D`` (n by n,
-usually diagonal).  Every analysis in this package reduces to the
-generalized eigendecomposition of such a triple, computed by one core
-routine: factor the weights as ``K.T @ K = D`` and the metric as
-``G.T @ G = Q``, take the singular value decomposition of
-``K @ X @ G.T``, solve for the component basis and recover the axis basis
-through the transition identity below.  Signs are fixed on the axis
-basis.  The two public entry points differ only in how they factor the
-metric: :func:`decompose` by Cholesky of a positive-definite ``Q``,
+variable metric ``Q`` (p by p) and positive observation weights: a
+length-n vector ``w``, the diagonal of ``D = diag(w)``, which is never
+formed.  Every analysis in this package reduces to the generalized
+eigendecomposition of such a triple, computed by one core routine:
+factor the metric as ``G.T @ G = Q``, take the singular value
+decomposition of ``sqrt(w)[:, None] * X @ G.T``, rescale its left factor
+into the component basis and recover the axis basis through the
+transition identity below.  Signs are fixed on the axis basis.  The two
+public entry points differ only in how they factor the metric:
+:func:`decompose` by Cholesky of a positive-definite ``Q``,
 :func:`decompose_gram_metric` by eigendecomposition of a semidefinite
 one.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, svd
+from scipy.linalg import svd
 from scipy.linalg.lapack import dpotrf
 
 __all__ = [
@@ -52,12 +53,12 @@ SYMMETRY_RTOL = 1e-8
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A metric or weight matrix failed its Cholesky factorization.
+    """A metric failed its Cholesky factorization or a weight is not positive.
 
     Attributes
     ----------
     pivot : int
-        Zero-based index of the first non-positive pivot.
+        Zero-based index of the first non-positive pivot or weight.
     """
 
     def __init__(self, name: str, pivot: int):
@@ -91,22 +92,28 @@ def _symmetrize(M: np.ndarray, name: str) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _is_diagonal(M: np.ndarray) -> bool:
-    return np.count_nonzero(M - np.diag(np.diagonal(M))) == 0
+def _weight_vector(D, n: int, name: str) -> np.ndarray:
+    """Row weights as ``n`` finite positive entries, from the vector or
+    its diagonal matrix."""
+    w = np.asarray(D, dtype=float)
+    if w.shape == (n, n):
+        # the off-diagonal is zero iff the diagonal holds every nonzero
+        if np.count_nonzero(w) != np.count_nonzero(np.diagonal(w)):
+            raise ValueError(f"{name} must be diagonal: row weights are a vector")
+        w = np.diagonal(w)
+    if w.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n}, got shape {w.shape}")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"{name} contains non-finite entry {bad[0]} ({w[bad[0]]})")
+    if np.any(w <= 0.0):
+        raise NotPositiveDefiniteError(name, int(np.flatnonzero(w <= 0.0)[0]))
+    return w
 
 
 def _cholesky_upper(M: np.ndarray, name: str) -> np.ndarray:
-    """Upper-triangular factor ``R`` with ``R.T @ R = M``.
-
-    Diagonal matrices take a square-root fast path; dense ones go through
-    LAPACK so the failing pivot can be reported.
-    """
-    if _is_diagonal(M):
-        d = np.diagonal(M)
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(name, int(bad[0]))
-        return np.diag(np.sqrt(d))
+    """Upper-triangular factor ``R`` with ``R.T @ R = M``, through LAPACK
+    so the failing pivot can be reported."""
     factor, info = dpotrf(M, lower=0, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(name, int(info) - 1)
@@ -125,9 +132,9 @@ class Triple:
         Observations in rows, variables in columns.
     metric : (p, p) ndarray
         Symmetric positive-definite inner product on variable space.
-    weights : (n, n) ndarray
-        Symmetric positive-definite inner product on observation space,
-        usually diagonal.
+    weights : (n,) ndarray
+        Positive observation weights: the diagonal of the inner product
+        ``D = diag(weights)`` on observation space.
 
     Instances are immutable: the stored arrays are read-only copies.
     Construct through :func:`make_triple`, which validates shapes,
@@ -157,8 +164,9 @@ def make_triple(X, Q, D) -> Triple:
     Q : (p, p) array_like
         Variable metric.  Symmetrized by averaging with its transpose when
         the asymmetry is within roundoff; rejected otherwise.
-    D : (n, n) array_like
-        Observation weights, same treatment as ``Q``.
+    D : (n,) or (n, n) array_like
+        Positive observation weights, or their diagonal matrix (any
+        nonzero off-diagonal entry is rejected).  Stored as the vector.
 
     Returns
     -------
@@ -167,39 +175,34 @@ def make_triple(X, Q, D) -> Triple:
     Raises
     ------
     ValueError
-        On dimension mismatch or visible asymmetry.
+        On dimension mismatch, visible asymmetry, non-finite weights or a
+        non-diagonal ``D``.
     NotPositiveDefiniteError
-        When ``Q`` or ``D`` has a non-positive pivot; the message carries
-        the pivot index.
+        When ``Q`` has a non-positive pivot or ``D`` a non-positive
+        weight; the message carries its index.
     """
     X = _as_float_matrix(X, "X")
     Q = _as_float_matrix(Q, "Q")
-    D = _as_float_matrix(D, "D")
     n, p = X.shape
     if Q.shape != (p, p):
         raise ValueError(f"Q must be {p}x{p} to match X with {p} columns, got {Q.shape}")
-    if D.shape != (n, n):
-        raise ValueError(f"D must be {n}x{n} to match X with {n} rows, got {D.shape}")
     Q = _symmetrize(Q, "Q")
-    D = _symmetrize(D, "D")
     # Definiteness is checked up front so errors surface at construction,
     # not deep inside a later factorization.
     _cholesky_upper(Q, "Q")
-    _cholesky_upper(D, "D")
-    return Triple(data=_frozen(X), metric=_frozen(Q), weights=_frozen(D))
+    w = _weight_vector(D, n, "D")
+    return Triple(data=_frozen(X), metric=_frozen(Q), weights=_frozen(w))
 
 
 def center_columns(t: Triple) -> Triple:
     """Remove the weighted column means from the data matrix.
 
-    The returned triple satisfies ``X.T @ D @ 1 = 0`` exactly in exact
-    arithmetic; metric and weights are unchanged.  Centering an
-    already-centered triple is a no-op.
+    Subtracts ``w @ X / sum(w)`` from every row, so the returned triple
+    satisfies ``X.T @ w = 0`` in exact arithmetic; metric and weights are
+    unchanged.  Centering an already-centered triple is a no-op.
     """
-    ones = np.ones(t.n_observations)
-    total = ones @ t.weights @ ones
-    means = (ones @ t.weights @ t.data) / total
-    centered = t.data - means
+    w = t.weights
+    centered = t.data - w @ t.data / w.sum()
     return Triple(data=_frozen(centered), metric=t.metric, weights=t.weights)
 
 
@@ -225,7 +228,8 @@ class Decomposition:
         ``principal_axes.T @ Q @ principal_axes = diag(eigenvalues)``.
     component_basis : (n, n_axes) ndarray
         Weight-orthonormal basis of observation space:
-        ``component_basis.T @ D @ component_basis = I``.
+        ``component_basis.T @ D @ component_basis = I`` with
+        ``D = diag(weights)``.
     principal_components : (n, n_axes) ndarray
         ``component_basis`` rescaled by the singular values;
         ``principal_components.T @ D @ principal_components
@@ -279,19 +283,11 @@ def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
                 other[:, j] = -other[:, j]
 
 
-def _solve_upper(F: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``inv(F) @ B`` for an upper-triangular factor, diagonal fast path."""
-    if _is_diagonal(F):
-        return B / np.diagonal(F)[:, None]
-    return solve_triangular(F, B, lower=False)
-
-
 def _decompose_factored(
-    X: np.ndarray, K: np.ndarray, G: np.ndarray, rank_request: int | None,
+    X: np.ndarray, w: np.ndarray, G: np.ndarray, rank_request: int | None,
 ) -> Decomposition:
-    """Shared core: decomposition of ``X`` from a weight factor ``K``
-    (``K.T @ K = D``, upper triangular) and any metric factor ``G``
-    (``G.T @ G = Q``)."""
+    """Shared core: decomposition of ``X`` under positive row weights
+    ``w`` and any metric factor ``G`` (``G.T @ G = Q``)."""
     n, p = X.shape
     if rank_request is not None:
         if rank_request < 0:
@@ -300,7 +296,8 @@ def _decompose_factored(
             raise ValueError(
                 f"rank_request {rank_request} exceeds min(n, p) = {min(n, p)}"
             )
-    KX = K @ X
+    k = np.sqrt(w)[:, None]
+    KX = k * X
     U, s, _ = svd(KX @ G.T, full_matrices=False)
     lam_all = s**2
     lam1 = lam_all[0] if lam_all.size else 0.0
@@ -308,9 +305,9 @@ def _decompose_factored(
     n_axes = rank if rank_request is None else min(rank_request, rank)
     s, U = s[:n_axes], U[:, :n_axes]
     # Transition identity: axis_basis = X.T @ D @ component_basis / s, and
-    # D @ component_basis = K.T @ U.
+    # D @ component_basis = sqrt(w) * U.
     Z = KX.T @ U / s
-    L = _solve_upper(K, U)
+    L = U / k
     _orient_columns(Z, L)
     eigenvalues = lam_all[:rank]
     return Decomposition(
@@ -329,11 +326,12 @@ def _decompose_factored(
 def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
     """Generalized eigendecomposition of a triple.
 
-    Factors the metric and weights by Cholesky, ``H.T @ H = Q`` and
-    ``K.T @ K = D``, and hands both factors to the shared core.  The core
-    takes the singular value decomposition ``K @ X @ H.T = U @ S @ T.T``;
-    the eigenvalues are the squared singular values, the component basis
-    is ``inv(K) @ U`` and the axis basis comes from the transition
+    Factors the metric by Cholesky, ``H.T @ H = Q``, and hands the factor
+    and the weight vector ``w`` to the shared core.  With
+    ``K = diag(sqrt(w))``, applied as a row scaling, the core takes the
+    singular value decomposition ``K @ X @ H.T = U @ S @ T.T``; the
+    eigenvalues are the squared singular values, the component basis is
+    ``U / sqrt(w)[:, None]`` and the axis basis comes from the transition
     identity ``X.T @ D @ component_basis / s`` (equal to ``inv(H) @ T``).
     Column signs are fixed by orienting each axis-basis column so its
     largest-magnitude entry is positive, which makes the output
@@ -360,8 +358,7 @@ def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
         If the singular value decomposition fails to converge.
     """
     H = _cholesky_upper(t.metric, "Q")
-    K = _cholesky_upper(t.weights, "D")
-    return _decompose_factored(t.data, K, H, rank_request)
+    return _decompose_factored(t.data, t.weights, H, rank_request)
 
 
 def decompose_gram_metric(
@@ -375,10 +372,11 @@ def decompose_gram_metric(
     semidefinite.  The metric is factored through its eigendecomposition,
     ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
     instead of a Cholesky; a significantly negative eigenvalue is
-    rejected.  Everything else is the core shared with
-    :func:`decompose`: the same weight-side solve, rank cut, transition
-    identity for the axis basis and sign orientation on the axis basis.
-    ``rank_request`` is validated as there.
+    rejected.  ``weights`` are validated as ``D`` in :func:`make_triple`.
+    Everything else is the core shared with :func:`decompose`: the same
+    weight-side rescaling, rank cut, transition identity for the axis
+    basis and sign orientation on the axis basis.  ``rank_request`` is
+    validated as there.
 
     The strict :func:`make_triple` path intentionally rejects semidefinite
     metrics; this routine is the sanctioned detour for metrics that are
@@ -386,14 +384,14 @@ def decompose_gram_metric(
     """
     X = _as_float_matrix(X, "X")
     metric = _symmetrize(_as_float_matrix(metric, "metric"), "metric")
-    weights = _symmetrize(_as_float_matrix(weights, "weights"), "weights")
-    w, E = np.linalg.eigh(metric)
-    scale = max(w[-1], 0.0) if w.size else 0.0
-    keep = w > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
-    if np.any(w < -1e-8 * max(scale, 1.0)):
+    w = _weight_vector(weights, X.shape[0], "weights")
+    ev, E = np.linalg.eigh(metric)
+    scale = max(ev[-1], 0.0) if ev.size else 0.0
+    keep = ev > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
+    if np.any(ev < -1e-8 * max(scale, 1.0)):
         raise ValueError("metric has a significantly negative eigenvalue")
-    G = (E[:, keep] * np.sqrt(w[keep])).T
-    return _decompose_factored(X, _cholesky_upper(weights, "D"), G, rank_request)
+    G = (E[:, keep] * np.sqrt(ev[keep])).T
+    return _decompose_factored(X, w, G, rank_request)
 
 
 @dataclass(frozen=True)
@@ -409,7 +407,7 @@ def transition_check(t: Triple, d: Decomposition) -> TransitionResiduals:
     retained columns.  Both residuals are zero in exact arithmetic for a
     decomposition produced from ``t``."""
     via_axes = t.data @ t.metric @ d.axis_basis
-    via_components = t.data.T @ t.weights @ d.component_basis
+    via_components = t.data.T @ (t.weights[:, None] * d.component_basis)
     res_c = via_axes - d.principal_components
     res_a = via_components - d.principal_axes
     return TransitionResiduals(
@@ -426,11 +424,12 @@ def characterizing_operators(t: Triple) -> tuple[np.ndarray, np.ndarray]:
     (p, p) ndarray
         ``X.T @ D @ X @ Q``, acting on variable space.
     (n, n) ndarray
-        ``X @ Q @ X.T @ D``, acting on observation space.
+        ``X @ Q @ X.T @ D``, acting on observation space, with
+        ``D = diag(weights)``.
 
     The two share their nonzero eigenvalues.
     """
-    X, Q, D = t.data, t.metric, t.weights
-    V = X.T @ D @ X
+    X, Q, w = t.data, t.metric, t.weights
+    V = X.T @ (w[:, None] * X)
     W = X @ Q @ X.T
-    return V @ Q, W @ D
+    return V @ Q, W * w

@@ -39,6 +39,7 @@ from .linalg import (
     _cholesky_upper,
     _frozen,
     _symmetrize,
+    _weight_vector,
 )
 from .scree import ScreeTable
 
@@ -59,14 +60,7 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     """Row-weight vector summing to one; uniform 1/n when omitted."""
     if weights is None:
         return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must be a vector of length {n}, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights contain non-finite entries")
-    if np.any(w <= 0):
-        bad = int(np.flatnonzero(w <= 0)[0])
-        raise ValueError(f"weights must be positive (entry {bad} is {w[bad]!r})")
+    w = _weight_vector(weights, n, "weights")
     return w / np.sum(w)
 
 
@@ -224,8 +218,7 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
     if n < 2:
         raise ValueError(f"pca needs at least 2 observations, got {n}")
     w = _normalized_weights(weights, n)
-    D = np.diag(w)
-    t = center_columns(make_triple(X, np.eye(p), D))
+    t = center_columns(make_triple(X, np.eye(p), w))
     Xc = t.data
     variances = np.einsum("ij,i,ij->j", Xc, w, Xc)
     if standardize:
@@ -235,7 +228,7 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
             j = int(dead[0])
             name = col_labels[j] if col_labels is not None else f"column {j}"
             raise ValueError(f"cannot standardize: {name} has zero variance")
-        t = make_triple(Xc, np.diag(1.0 / variances), D)
+        t = make_triple(Xc, np.diag(1.0 / variances), w)
     d = decompose(t)
     return MethodResult(
         method="pca",
@@ -289,7 +282,7 @@ def ca(tbl: ContingencyTable) -> MethodResult:
     r = F.sum(axis=1)
     c = F.sum(axis=0)
     X = F / np.outer(r, c) - 1.0
-    t = make_triple(X, np.diag(c), np.diag(r))
+    t = make_triple(X, np.diag(c), r)
     d = decompose(t)
     stat, dof = chi_square(tbl)
     return MethodResult(
@@ -364,18 +357,18 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     if g < 2:
         raise ValueError("lda needs at least two groups")
     w = _normalized_weights(weights, n)
-    D = np.diag(w)
     Xc = X - w @ X
-    T = _symmetrize(Xc.T @ D @ Xc, "T")
+    wXc = w[:, None] * Xc
+    T = _symmetrize(wXc.T @ Xc, "T")
     Ti = _spd_inverse(
         T, "total covariance",
         "reduce dimensionality (drop collinear columns or run pca first)",
     )
-    group_mass = _symmetrize(Y.T @ D @ Y, "group masses")
-    means = np.linalg.solve(group_mass, Y.T @ D @ Xc)
-    between = _symmetrize(means.T @ group_mass @ means, "B")
+    group_mass = w @ Y
+    means = (Y.T @ wXc) / group_mass[:, None]
+    between = _symmetrize((group_mass[:, None] * means).T @ means, "B")
     resid_mat = Xc - Y @ means
-    within = _symmetrize(resid_mat.T @ D @ resid_mat, "W")
+    within = _symmetrize((w[:, None] * resid_mat).T @ resid_mat, "W")
     split_residual = float(np.max(np.abs(T - between - within)))
     if split_residual > 1e-8 * max(np.max(np.abs(T)), 1.0):
         raise np.linalg.LinAlgError(
@@ -449,7 +442,6 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     if q is not None and q < 1:
         raise ValueError("q must be at least 1")
     w = _normalized_weights(weights, n)
-    D = np.diag(w)
     Xc = X - w @ X
     Yc = Y - w @ Y
     if response_metric is None:
@@ -461,14 +453,15 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
             raise ValueError(
                 f"response_metric must be {Y.shape[1]}x{Y.shape[1]}, got {Qy.shape}"
             )
-    Sxx = _symmetrize(Xc.T @ D @ Xc, "Sxx")
+    wXc = w[:, None] * Xc
+    Sxx = _symmetrize(wXc.T @ Xc, "Sxx")
     Sxxi = _spd_inverse(
         Sxx, "explanatory covariance",
         "reduce dimensionality (drop collinear columns or run pca first)",
     )
-    Sxy = Xc.T @ D @ Yc
+    Sxy = wXc.T @ Yc
     R = _symmetrize(Sxxi @ Sxy @ Qy @ Sxy.T @ Sxxi, "R")
-    d = decompose_gram_metric(Xc, R, D, rank_request=q)
+    d = decompose_gram_metric(Xc, R, w, rank_request=q)
     if q is not None and q > d.rank:
         raise ValueError(f"requested rank {q} exceeds the attainable rank {d.rank}")
     Zq = d.axis_basis
@@ -501,18 +494,21 @@ def cca(X1, X2, weights=None) -> MethodResult:
     Reported eigenvalues (the scree) are the squared canonical
     correlations, obtained from the equivalent cross-block triple: the
     cross-covariance matrix analyzed in the two inverse-covariance
-    metrics.  Its axis basis gives the block-1 canonical coefficients
-    (through the block-1 inverse covariance) and its component basis the
-    block-2 coefficients; each canonical variable has unit weighted
-    variance, and paired canonical variables have weighted covariance
-    rho.
+    metrics, with block 2 whitened: ``H2 @ S21`` under ``inv(S11)`` and
+    unit weights, where ``H2.T @ H2 = inv(S22)``.  Its axis basis gives
+    the block-1 canonical coefficients (through the block-1 inverse
+    covariance) and its component basis, in whitened block-2
+    coordinates, the block-2 coefficients (through ``H2.T``); each
+    canonical variable has unit weighted variance, and paired canonical
+    variables have weighted covariance rho.
 
     Row coordinates are the block-1 canonical scores; column coordinates
     stack the block-1 and block-2 coefficient matrices.
 
     Extras: ``canonical_correlations``, ``coefficients_1`` (p1 x q),
     ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q),
-    ``cross_decomposition`` (the cross-block Decomposition).
+    ``cross_decomposition`` (the cross-block Decomposition; its
+    component basis is in whitened block-2 coordinates).
     """
     X1 = _as_float_matrix(X1, "X1")
     X2 = _as_float_matrix(X2, "X2")
@@ -522,24 +518,26 @@ def cca(X1, X2, weights=None) -> MethodResult:
             f"blocks must have equal row counts, got {n} and {X2.shape[0]}"
         )
     w = _normalized_weights(weights, n)
-    D = np.diag(w)
     X1c = X1 - w @ X1
     X2c = X2 - w @ X2
+    wX2c = w[:, None] * X2c
     S11i = _spd_inverse(
-        _symmetrize(X1c.T @ D @ X1c, "S11"), "block-1 covariance",
+        _symmetrize((w[:, None] * X1c).T @ X1c, "S11"), "block-1 covariance",
         "reduce dimensionality of the first block",
     )
     S22i = _spd_inverse(
-        _symmetrize(X2c.T @ D @ X2c, "S22"), "block-2 covariance",
+        _symmetrize(wX2c.T @ X2c, "S22"), "block-2 covariance",
         "reduce dimensionality of the second block",
     )
     merged = decompose(
-        make_triple(np.hstack([X1c, X2c]), block_diag(S11i, S22i), D)
+        make_triple(np.hstack([X1c, X2c]), block_diag(S11i, S22i), w)
     )
-    cross = decompose(make_triple(X2c.T @ D @ X1c, S11i, S22i))
+    # whitening block 2 (H2.T @ H2 = inv(S22)) leaves the cross triple unit weights
+    H2 = _cholesky_upper(S22i, "block-2 inverse covariance")
+    cross = decompose(make_triple(H2 @ (wX2c.T @ X1c), S11i, np.ones(X2c.shape[1])))
     rho = np.sqrt(cross.eigenvalues)
     coef1 = S11i @ cross.axis_basis
-    coef2 = S22i @ cross.component_basis
+    coef2 = H2.T @ cross.component_basis
     return MethodResult(
         method="cca",
         decomposition=merged,

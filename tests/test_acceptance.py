@@ -58,7 +58,7 @@ def criterion_1():
         p = int(rng.integers(1, 11))
         t = _random_triple(rng, n, p)
         d = decompose(t)
-        Q, D = t.metric, t.weights
+        Q, D = t.metric, np.diag(t.weights)
         Z, A = d.axis_basis, d.principal_axes
         L, C = d.component_basis, d.principal_components
         lam = d.eigenvalues[: d.n_axes]
@@ -152,7 +152,7 @@ def criterion_4():
     X -= X.mean(axis=0)
     t = make_triple(X, np.eye(p), np.eye(n) / n)
     d = decompose(t)
-    Dw = t.weights
+    Dw = np.diag(t.weights)
     O_full = X @ X.T @ Dw
     F = d.principal_components[:, :q]
     bound = rv_max(d.eigenvalues, q)

@@ -149,6 +149,18 @@ class TestScreeFirst:
         expected = pca(ds, weights=weights).decomposition.eigenvalues
         npt.assert_allclose(scree[:, 0], expected, rtol=1e-15)
 
+    @pytest.mark.parametrize("weights, named", [
+        ([1.0, 1.0, 1.0], "length 5"),
+        ([1.0, 1.0, 0.0, 1.0, 1.0], "pivot 2"),
+        ([1.0, 1.0, 1.0, float("nan"), 1.0], "entry 3"),
+    ])
+    def test_bad_weights_file(self, measurements, tmp_path, capsys, weights, named):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("".join(f"{w}\n" for w in weights))
+        assert run_command(["pca", str(measurements), "--weights", str(wpath)]) == 1
+        err = capsys.readouterr().err
+        assert "weights" in err and named in err
+
     def test_standardize_flag(self, measurements, capsys):
         assert run_command(["pca", str(measurements), "--standardize"]) == 0
         assert "total inertia: 3.0000" in capsys.readouterr().out
@@ -263,6 +275,14 @@ class TestPcaiv:
     def test_axes_zero_usage_error(self, tmp_path, capsys):
         xpath, ypath = self._write(tmp_path)
         assert run_command(["pcaiv", str(xpath), str(ypath), "--axes", "0"]) == 2
+
+    def test_unexpected_extra_response_row(self, tmp_path, capsys):
+        xpath, ypath = self._write(tmp_path, shuffle_response=True)
+        with open(ypath, "a") as fh:
+            fh.write("r99,0.5,-0.5\n")
+        assert run_command(["pcaiv", str(xpath), str(ypath)]) == 1
+        err = capsys.readouterr().err
+        assert "unexpected extra rows" in err and "r99" in err
 
 
 class TestCca:

@@ -163,7 +163,7 @@ class TestRankQOptimality:
 
     def test_principal_components_achieve_bound(self):
         rng, t, d, q = self._fixture(26)
-        D = t.weights
+        D = np.diag(t.weights)
         O_full = t.data @ t.metric @ t.data.T @ D
         F = d.principal_components[:, :q]
         O_cut = F @ F.T @ D
@@ -172,7 +172,7 @@ class TestRankQOptimality:
 
     def test_bound_dominates_random_competitors(self):
         rng, t, d, q = self._fixture(27)
-        D = t.weights
+        D = np.diag(t.weights)
         O_full = t.data @ t.metric @ t.data.T @ D
         bound = rv_max(d.eigenvalues, q)
         lam_q = d.eigenvalues[:q]

@@ -20,15 +20,11 @@ def random_spd(rng, k):
     return A @ A.T + (k + 1) * np.eye(k)
 
 
-def random_triple(rng, n, p, dense_d=False):
+def random_triple(rng, n, p):
     X = rng.standard_normal((n, p))
     Q = random_spd(rng, p)
-    if dense_d:
-        D = random_spd(rng, n) / n
-    else:
-        w = rng.uniform(0.2, 2.0, n)
-        D = np.diag(w / w.sum())
-    return make_triple(X, Q, D)
+    w = rng.uniform(0.2, 2.0, n)
+    return make_triple(X, Q, np.diag(w / w.sum()))
 
 
 class TestMakeTriple:
@@ -87,6 +83,44 @@ class TestMakeTriple:
             make_triple(X, np.eye(2), np.eye(2))
 
 
+class TestWeightVector:
+    def test_vector_same_as_diagonal_matrix(self):
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((9, 4))
+        Q = random_spd(rng, 4)
+        w = rng.uniform(0.2, 2.0, 9)
+        tv, tm = make_triple(X, Q, w), make_triple(X, Q, np.diag(w))
+        assert tv.weights.shape == (9,)
+        npt.assert_array_equal(tv.weights, tm.weights)
+        dv, dm = decompose(tv), decompose(tm)
+        npt.assert_array_equal(dv.eigenvalues, dm.eigenvalues)
+        npt.assert_array_equal(dv.axis_basis, dm.axis_basis)
+        npt.assert_array_equal(dv.component_basis, dm.component_basis)
+
+    def test_gram_metric_vector_same_as_diagonal_matrix(self):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((9, 4))
+        B = rng.standard_normal((4, 2))
+        w = rng.uniform(0.2, 2.0, 9)
+        dv = decompose_gram_metric(X, B @ B.T, w)
+        dm = decompose_gram_metric(X, B @ B.T, np.diag(w))
+        npt.assert_array_equal(dv.eigenvalues, dm.eigenvalues)
+        npt.assert_array_equal(dv.axis_basis, dm.axis_basis)
+        npt.assert_array_equal(dv.component_basis, dm.component_basis)
+
+    def test_non_diagonal_weights_rejected(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((7, 3))
+        with pytest.raises(ValueError, match="D must be diagonal"):
+            make_triple(X, np.eye(3), random_spd(rng, 7) / 7)
+        D = np.eye(7) / 7
+        D[0, 6] = D[6, 0] = 1e-3
+        with pytest.raises(ValueError, match="D must be diagonal"):
+            make_triple(X, np.eye(3), D)
+        with pytest.raises(ValueError, match="weights must be diagonal"):
+            decompose_gram_metric(X, np.eye(3), D)
+
+
 class TestCenterColumns:
     def test_uniform_weights(self):
         t = make_triple([[1.0], [2.0], [3.0]], np.eye(1), np.eye(3) / 3)
@@ -97,7 +131,7 @@ class TestCenterColumns:
         t = make_triple([[1.0], [3.0]], np.eye(1), np.diag([0.75, 0.25]))
         c = center_columns(t)
         npt.assert_allclose(c.data, [[-0.5], [1.5]], atol=1e-15)
-        npt.assert_allclose(c.data.T @ c.weights @ np.ones(2), [0.0], atol=1e-15)
+        npt.assert_allclose(c.data.T @ np.diag(c.weights) @ np.ones(2), [0.0], atol=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -143,16 +177,15 @@ class TestDecompose:
         t = make_triple(Xc, np.diag(1.0 / var), np.eye(n) / n)
         npt.assert_allclose(decompose(t).inertia, p, rtol=1e-10)
 
-    @pytest.mark.parametrize("dense_d", [False, True])
-    def test_invariants_random(self, dense_d):
+    def test_invariants_random(self):
         rng = np.random.default_rng(6)
         eps = 1e-10
         for _ in range(20):
             n = int(rng.integers(2, 15))
             p = int(rng.integers(1, 7))
-            t = random_triple(rng, n, p, dense_d=dense_d)
+            t = random_triple(rng, n, p)
             d = decompose(t)
-            Q, D = t.metric, t.weights
+            Q, D = t.metric, np.diag(t.weights)
             Z, A = d.axis_basis, d.principal_axes
             L, C = d.component_basis, d.principal_components
             lam = d.eigenvalues
@@ -189,7 +222,7 @@ class TestDecompose:
         d = decompose(t)
         perm = rng.permutation(9)
         P = np.eye(9)[perm]
-        w = np.diagonal(t.weights)
+        w = t.weights
         tp_ = make_triple(t.data[perm], t.metric, np.diag(w[perm]))
         dp = decompose(tp_)
         npt.assert_allclose(dp.eigenvalues, d.eigenvalues, rtol=1e-12)

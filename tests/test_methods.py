@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -85,6 +87,16 @@ class TestPca:
             res_w.extras["column_variances"], res_r.extras["column_variances"],
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("weights, named", [
+        ([1.0, 1.0, 1.0], "length 4"),
+        ([1.0, 0.0, 1.0, 1.0], "pivot 1"),
+        ([1.0, 1.0, np.nan, 1.0], "entry 2"),
+    ])
+    def test_bad_weights_rejected(self, weights, named):
+        X = np.random.default_rng(33).standard_normal((4, 3))
+        with pytest.raises(ValueError, match=named):
+            pca(X, weights=weights)
 
     def test_zero_variance_column_named(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -543,3 +555,30 @@ class TestCca:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="row counts"):
             cca(np.ones((3, 2)), np.ones((4, 2)))
+
+
+# One n x n float array at n = 3000 takes 72 MB; O(n p) work stays far below.
+_TALL_N = 3000
+_TALL_CALLS = {
+    "pca": lambda X, w, N: pca(X),
+    "pca-weighted": lambda X, w, N: pca(X, weights=w),
+    "pca-standardized": lambda X, w, N: pca(X, standardize=True),
+    "lda": lambda X, w, N: lda(X, [f"g{i % 3}" for i in range(_TALL_N)]),
+    "cca": lambda X, w, N: cca(X[:, :6], X[:, 6:]),
+    "ca": lambda X, w, N: ca(ContingencyTable(N)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TALL_CALLS))
+def test_peak_memory_has_no_n_by_n_term(name):
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((_TALL_N, 10))
+    w = rng.uniform(0.5, 2.0, _TALL_N)
+    N = rng.integers(1, 20, (_TALL_N, 10))
+    tracemalloc.start()
+    try:
+        _TALL_CALLS[name](X, w, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MB"
