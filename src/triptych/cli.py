@@ -264,25 +264,18 @@ def _cmd_layout(args) -> int:
         raise ValueError(
             f"graph is disconnected ({len(parts)} components); rerun with --per-component"
         )
+    sp = spectrum(g, per_component=args.per_component)
     if args.axes is None:
-        sp = spectrum(g, per_component=args.per_component)
         print(_spectrum_lines(sp.eigenvalues))
         return 0
-    if args.axes != 2:
-        print("error: layout is planar; --axes must be 2", file=sys.stderr)
-        return 2
-    if len(parts) > 1:
-        coords = np.zeros((g.n_nodes, 2))
-        for idx, sub in parts:
-            try:
-                coords[idx] = layout(sub)
-            except ValueError as exc:
-                raise ValueError(
-                    f"component of node '{sub.node_labels[0]}': {exc}"
-                ) from None
-    else:
-        coords = layout(g)
-    sp = spectrum(g, per_component=args.per_component)
+    coords = np.zeros((g.n_nodes, 2))
+    for idx, sub in parts:
+        try:
+            coords[idx] = layout(sub)
+        except ValueError as exc:
+            raise ValueError(
+                f"component of node '{sub.node_labels[0]}': {exc}"
+            ) from None
     stem = args.out or os.path.splitext(args.edges)[0]
     write_coordinates(f"{stem}_rows.tsv", g.node_labels, coords,
                       axis_names=["axis_1", "axis_2"])
@@ -343,6 +336,9 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     if getattr(args, "axes", None) is not None and args.axes < 1:
         print("error: --axes must be at least 1", file=sys.stderr)
+        return 2
+    if args.command == "layout" and args.axes not in (None, 2):
+        print("error: layout is planar; --axes must be 2", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

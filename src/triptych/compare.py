@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Triple, characterizing_operators
+from .linalg import Triple
 
 __all__ = ["covv", "rv", "rv_triples", "rv_max"]
 
@@ -58,6 +58,12 @@ def rv(O1, O2) -> float:
     return float(np.sum(O1 * O2) / np.sqrt(n11 * n22))
 
 
+def _covv_triples(t1: Triple, t2: Triple) -> float:
+    """``covv`` of the triples' operators in p-space: trace(Q1 X1'D^2 X2 Q2 X2'X1)."""
+    A = t1.metric @ (t1.data.T * t1.weights**2) @ t2.data
+    return float(np.sum(A * (t2.metric @ t2.data.T @ t1.data).T))
+
+
 def rv_triples(t1: Triple, t2: Triple) -> float:
     """RV coefficient between the observation-space operators of two triples.
 
@@ -73,9 +79,10 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
         )
     if not np.array_equal(t1.weights, t2.weights):
         raise ValueError("triples must share the same observation weights")
-    _, WD1 = characterizing_operators(t1)
-    _, WD2 = characterizing_operators(t2)
-    return rv(WD1, WD2)
+    n11, n22 = _covv_triples(t1, t1), _covv_triples(t2, t2)
+    if n11 == 0.0 or n22 == 0.0:
+        raise ValueError("rv is undefined for a zero operator")
+    return float(_covv_triples(t1, t2) / np.sqrt(n11 * n22))
 
 
 def rv_max(eigenvalues, q: int) -> float:

@@ -11,7 +11,9 @@ with M the adjacency matrix and Dg the diagonal degree matrix.  The
 nontrivial eigenvectors of smallest mu are the smoothest nonconstant
 node scores; the first two give a planar layout.  The same eigenproblem
 is the correspondence analysis of M read as a contingency table, with
-eigenvalue relation lambda = (1 - mu)^2.
+eigenvalue relation lambda = (1 - mu)^2.  It is solved in the symmetric
+form (I - S M S) y = mu y with S = Dg^(-1/2) and x = S y, where S M S is
+the standardized table of that correspondence analysis (eigenvalues 1 - mu).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .linalg import _as_float_matrix, _frozen, _orient_columns
+from .linalg import _as_float_matrix, _frozen, _orient_columns, _tie_flags
 from .methods import MethodResult, _check_labels, pcaiv
 
 __all__ = [
@@ -41,10 +43,6 @@ __all__ = [
     "layout",
     "regress_on_covariates",
 ]
-
-# Relative gap under which layout eigenvalues count as degenerate.
-DEGENERACY_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -100,8 +98,11 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """Connected components as (node index array, subgraph) pairs,
-    ordered by smallest node index."""
+    ordered by smallest node index.  A connected graph is returned as
+    itself, ``[(np.arange(n), g)]``."""
     n_comp, labels = connected_components(csr_matrix(g.adjacency), directed=False)
+    if n_comp == 1:
+        return [(np.arange(g.n_nodes), g)]
     out = []
     for comp in range(n_comp):
         idx = np.flatnonzero(labels == comp)
@@ -216,7 +217,8 @@ def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> Gra
     g : Graph
     k : int, optional
         Number of eigenpairs to return; all nontrivial ones by default.
-        A connected graph on n nodes has n - 1.
+        A connected graph on n nodes has n - 1.  ``k`` is checked before
+        any eigensolve, and only the pairs it asks for are computed.
     per_component : bool
         A disconnected graph is rejected unless this is set, in which
         case each connected component is analyzed separately (each
@@ -232,48 +234,46 @@ def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> Gra
         nontrivial pairs.
     """
     n = g.n_nodes
-    n_comp, labels = connected_components(csr_matrix(g.adjacency), directed=False)
+    parts = component_subgraphs(g)
+    n_comp = len(parts)
     if n_comp > 1 and not per_component:
         raise ValueError(
             f"graph is disconnected ({n_comp} components); "
             "pass per_component=True to analyze components separately"
         )
-    mus: list[float] = []
-    vecs: list[np.ndarray] = []
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
+    for idx, sub in parts:
         if idx.size < 2:
             raise ValueError(
-                f"node '{g.node_labels[int(idx[0])]}' is isolated; "
+                f"node '{sub.node_labels[0]}' is isolated; "
                 "the degree weighting is degenerate there"
             )
-        sub = g.adjacency[np.ix_(idx, idx)]
-        deg = sub.sum(axis=1)
-        mu, V = eigh(np.diag(deg) - sub, np.diag(deg))
-        # The component is connected, so exactly one trivial pair leads.
-        if mu[0] > 1e-8:
-            raise np.linalg.LinAlgError(
-                f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
-            )
-        for j in range(1, mu.shape[0]):
-            full = np.zeros(n)
-            full[idx] = V[:, j]
-            mus.append(float(mu[j]))
-            vecs.append(full)
-    order = np.argsort(mus, kind="stable")
-    total = len(mus)
+    total = n - n_comp
     if k is None:
         k = total
     elif not 1 <= k <= total:
         raise ValueError(
             f"k must be in [1, {total}] (the graph has {total} nontrivial eigenpairs)"
         )
-    take = order[:k]
-    vectors = np.column_stack([vecs[i] for i in take]) if k else np.zeros((n, 0))
+    mus, blocks = [np.zeros(0)], [np.zeros((n, 0))]
+    for idx, sub in parts:
+        s = 1.0 / np.sqrt(sub.degrees)
+        mu, Y = eigh(np.eye(idx.size) - s[:, None] * sub.adjacency * s,
+                     subset_by_index=[0, min(k, idx.size - 1)])
+        # The component is connected, so exactly one trivial pair leads.
+        if mu[0] > 1e-8:
+            raise np.linalg.LinAlgError(
+                f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
+            )
+        block = np.zeros((n, mu.size - 1))
+        block[idx] = s[:, None] * Y[:, 1:]
+        mus.append(mu[1:])
+        blocks.append(block)
+    mu = np.concatenate(mus)
+    take = np.argsort(mu, kind="stable")[:k]
+    vectors = np.hstack(blocks)[:, take]
     _orient_columns(vectors)
-    eigenvalues = np.array([mus[i] for i in take])
     return GraphSpectrum(
-        eigenvalues=_frozen(eigenvalues),
+        eigenvalues=_frozen(mu[take]),
         vectors=_frozen(vectors),
         trivial_dropped=True,
         n_components=n_comp,
@@ -292,13 +292,9 @@ def layout(g: Graph) -> np.ndarray:
     """
     if g.n_nodes < 3:
         raise ValueError("layout needs at least 3 nodes")
-    probe = min(3, g.n_nodes - 1)
-    sp = spectrum(g, k=probe)
+    sp = spectrum(g, k=min(3, g.n_nodes - 1))
     mu = sp.eigenvalues
-    degenerate = (mu[1] - mu[0]) <= DEGENERACY_RTOL * max(mu[1], 1e-300)
-    if probe >= 3:
-        degenerate = degenerate or (mu[2] - mu[1]) <= DEGENERACY_RTOL * max(mu[2], 1e-300)
-    if degenerate:
+    if np.any(_tie_flags(mu[::-1])):
         warnings.warn(
             "layout eigenvalues are degenerate; the coordinate pair is one "
             "arbitrary orthonormal choice from the tied eigenspace",

@@ -5,7 +5,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from triptych import ca, ContingencyTable, layout, lda, pca, read_edges
+import triptych.graph
+from triptych import (
+    ca,
+    component_subgraphs,
+    ContingencyTable,
+    layout,
+    lda,
+    pca,
+    read_edges,
+    spectrum,
+)
 from triptych.cli import run_command
 
 
@@ -352,8 +362,42 @@ class TestGraphCommands:
             ["layout", str(edges), "--axes", "2", "--per-component"]
         ) == 0
         labels, coords = read_tsv_matrix(tmp_path / "split_rows.tsv")
+        g = read_edges(str(edges))
+        assert labels == list(g.node_labels)
         assert coords.shape == (6, 2)
-        assert np.all(np.isfinite(coords))
+        for idx, sub in component_subgraphs(g):
+            npt.assert_allclose(coords[idx], layout(sub), atol=1e-12)
+        _, mu = read_tsv_matrix(tmp_path / "split_scree.tsv")
+        npt.assert_allclose(mu[:, 0], spectrum(g, per_component=True).eigenvalues,
+                            atol=1e-12)
+
+    def test_layout_axes_checked_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run_command(["layout", str(missing), "--axes", "3"]) == 2
+        assert "must be 2" in capsys.readouterr().err
+
+    def test_layout_solves_full_spectrum_once(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(7)
+        n = 40
+        pairs = {(i, i + 1) for i in range(n - 1)}
+        while len(pairs) < 2 * n:
+            i, j = sorted(int(v) for v in rng.integers(0, n, 2))
+            if i != j:
+                pairs.add((i, j))
+        edges = tmp_path / "ring.csv"
+        edges.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
+        full_solves = []
+        real_eigh = triptych.graph.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            subset = kwargs.get("subset_by_index")
+            if subset is None or list(subset) == [0, a.shape[0] - 1]:
+                full_solves.append(a.shape[0])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(triptych.graph, "eigh", counting_eigh)
+        assert run_command(["layout", str(edges), "--axes", "2"]) == 0
+        assert full_solves == [n]
 
     def test_graph_regress_scree_mode(self, tmp_path, capsys):
         edges = tmp_path / "net.csv"

@@ -106,6 +106,15 @@ class TestRvTriples:
         got = rv_triples(t1, t2)
         npt.assert_allclose(got, expected, rtol=1e-12)
         assert 0.0 <= got <= 1.0 + 1e-12
+        # non-identity metrics: diagonal Q1, random SPD Q2
+        Q1 = np.diag(rng.uniform(0.5, 3.0, 3))
+        A = rng.standard_normal((4, 4))
+        Q2 = A @ A.T + 4 * np.eye(4)
+        O1 = X1 @ Q1 @ X1.T @ D
+        O2 = X2 @ Q2 @ X2.T @ D
+        expected = np.sum(O1 * O2) / np.sqrt(np.sum(O1 * O1) * np.sum(O2 * O2))
+        got = rv_triples(make_triple(X1, Q1, D), make_triple(X2, Q2, D))
+        npt.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestRvMax:

@@ -316,6 +316,7 @@ class TestSpectrum:
         full = spectrum(g)
         part = spectrum(g, k=3)
         npt.assert_allclose(part.eigenvalues, full.eigenvalues[:3], rtol=1e-12)
+        npt.assert_allclose(part.vectors, full.vectors[:, :3], atol=1e-10)
         with pytest.raises(ValueError, match=r"k must be in \[1, 7\]"):
             spectrum(g, k=8)
 

@@ -17,6 +17,7 @@ from triptych import (
     make_triple,
     pca,
     pcaiv,
+    rv_triples,
 )
 
 
@@ -566,6 +567,9 @@ _TALL_CALLS = {
     "lda": lambda X, w, N: lda(X, [f"g{i % 3}" for i in range(_TALL_N)]),
     "cca": lambda X, w, N: cca(X[:, :6], X[:, 6:]),
     "ca": lambda X, w, N: ca(ContingencyTable(N)),
+    "rv_triples": lambda X, w, N: rv_triples(
+        make_triple(X[:, :6], np.eye(6), w), make_triple(X[:, 6:], np.eye(4), w)
+    ),
 }
 
 
