@@ -365,6 +365,7 @@ class TestGraphCommands:
         g = read_edges(str(edges))
         assert labels == list(g.node_labels)
         assert coords.shape == (6, 2)
+        assert np.all(np.isfinite(coords))
         for idx, sub in component_subgraphs(g):
             npt.assert_allclose(coords[idx], layout(sub), atol=1e-12)
         _, mu = read_tsv_matrix(tmp_path / "split_scree.tsv")
