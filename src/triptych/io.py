@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, make_graph
+from .methods import _check_labels
 
 __all__ = [
     "Dataset",
@@ -71,13 +72,6 @@ def _read_rows(path: str, delimiter: str | None) -> list[list[str]]:
     return rows
 
 
-def _unique(labels: list[str], what: str, path: str) -> tuple[str, ...]:
-    if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
-        raise ValueError(f"{path}: duplicate {what} labels: {dupes}")
-    return tuple(labels)
-
-
 def read_table(path: str, kind: str, delimiter: str | None = None) -> Dataset:
     """Parse a labeled numeric table.
 
@@ -98,7 +92,8 @@ def read_table(path: str, kind: str, delimiter: str | None = None) -> Dataset:
     header = rows[0]
     if len(header) < 2:
         raise ValueError(f"{path}: need at least one data column after the label column")
-    col_labels = _unique([c.strip() for c in header[1:]], "column", path)
+    col_labels = _check_labels([c.strip() for c in header[1:]], len(header) - 1,
+                               "column", "c", path)
     if len(rows) < 2:
         raise ValueError(f"{path}: no data rows")
     row_labels: list[str] = []
@@ -124,7 +119,7 @@ def read_table(path: str, kind: str, delimiter: str | None = None) -> Dataset:
                     f"is not finite"
                 )
             data[i, j] = value
-    row_tuple = _unique(row_labels, "row", path)
+    row_tuple = _check_labels(row_labels, len(row_labels), "row", "r", path)
     if kind == "contingency":
         neg = np.argwhere(data < 0)
         if neg.size:

@@ -122,6 +122,17 @@ def _cholesky_upper(M: np.ndarray, name: str) -> np.ndarray:
     return factor
 
 
+def _semidefinite_factor(M: np.ndarray, name: str) -> np.ndarray:
+    """``G`` with ``G.T @ G = M`` for a semidefinite ``M``: one row per
+    eigenvalue above the zero threshold; a negative one is rejected."""
+    ev, E = np.linalg.eigh(M)
+    scale = max(ev[-1], 0.0) if ev.size else 0.0
+    keep = ev > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
+    if np.any(ev < -1e-8 * max(scale, 1.0)):
+        raise ValueError(f"{name} has a significantly negative eigenvalue")
+    return (E[:, keep] * np.sqrt(ev[keep])).T
+
+
 @dataclass(frozen=True)
 class Triple:
     """A data matrix with its variable metric and observation weights.
@@ -367,8 +378,8 @@ def decompose_gram_metric(
 ) -> Decomposition:
     """Eigendecomposition of a triple whose metric may be rank-deficient.
 
-    Used when the variable metric is a Gram-type product (as in
-    instrumental-variable analyses) and therefore only positive
+    Used when the variable metric is a Gram-type product (such as an
+    instrumental-variable metric) and therefore only positive
     semidefinite.  The metric is factored through its eigendecomposition,
     ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
     instead of a Cholesky; a significantly negative eigenvalue is
@@ -385,13 +396,7 @@ def decompose_gram_metric(
     X = _as_float_matrix(X, "X")
     metric = _symmetrize(_as_float_matrix(metric, "metric"), "metric")
     w = _weight_vector(weights, X.shape[0], "weights")
-    ev, E = np.linalg.eigh(metric)
-    scale = max(ev[-1], 0.0) if ev.size else 0.0
-    keep = ev > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
-    if np.any(ev < -1e-8 * max(scale, 1.0)):
-        raise ValueError("metric has a significantly negative eigenvalue")
-    G = (E[:, keep] * np.sqrt(ev[keep])).T
-    return _decompose_factored(X, w, G, rank_request)
+    return _decompose_factored(X, w, _semidefinite_factor(metric, "metric"), rank_request)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Methods
 - :func:`ca` / :func:`chi_square`: correspondence analysis of a
   contingency table; total inertia times the grand total equals the
   chi-square statistic.
-- :func:`lda`: linear discriminant analysis via the between/total
-  covariance eigenproblem.
+- :func:`lda`: linear discriminant analysis: the group means under the
+  inverse total covariance.
 - :func:`pcaiv`: principal components with respect to instrumental
   variables (reduced-rank regression ordination).
 - :func:`cca`: canonical correlation analysis of two variable blocks.
@@ -22,22 +22,24 @@ Methods
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve
+from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg.lapack import dgeqrf
 
 from .linalg import (
-    NotPositiveDefiniteError,
     Decomposition,
     make_triple,
     center_columns,
     decompose,
-    decompose_gram_metric,
+    decompose_gram_metric,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
     _as_float_matrix,
-    _cholesky_upper,
+    _decompose_factored,
     _frozen,
+    _semidefinite_factor,
     _symmetrize,
     _weight_vector,
 )
@@ -101,15 +103,16 @@ class ContingencyTable:
         return self.counts.shape
 
 
-def _check_labels(labels, count: int, what: str, prefix: str) -> tuple[str, ...]:
+def _check_labels(labels, count: int, what: str, prefix: str, path=None) -> tuple[str, ...]:
+    """``count`` distinct labels (``prefix`` + 1-based index if omitted)."""
     if labels is None:
         return tuple(f"{prefix}{i + 1}" for i in range(count))
     labels = tuple(str(x) for x in labels)
     if len(labels) != count:
         raise ValueError(f"expected {count} {what} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
-        raise ValueError(f"duplicate {what} labels: {dupes}")
+    dupes = sorted(x for x, k in Counter(labels).items() if k > 1)
+    if dupes:
+        raise ValueError(f"{path + ': ' if path else ''}duplicate {what} labels: {dupes}")
     return labels
 
 
@@ -295,22 +298,37 @@ def ca(tbl: ContingencyTable) -> MethodResult:
     )
 
 
-def _spd_inverse(M: np.ndarray, name: str, hint: str) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky,
-    with a task-specific error when the matrix is singular."""
-    try:
-        factor = _cholesky_upper(M, name)
-    except NotPositiveDefiniteError as exc:
+# Relative size of |R_jj| below which a block column is constant or collinear.
+COLLINEAR_RTOL = 1e-12
+
+
+def _weighted_qr(X: np.ndarray, w: np.ndarray, name: str, other=None,
+                 hint="reduce dimensionality (drop collinear columns or run pca first)"):
+    """Centre a block with the row weights and factor ``sqrt(w) * Xc = Q @ R``.
+
+    Returns ``Xc``, ``inv(R)`` (``inv(R).T`` factors the inverse covariance)
+    and ``Q.T @ (sqrt(w) * other)`` for a centred ``other``, read off the QR
+    of both blocks side by side.  Rejects p >= n, or a column whose |R_jj|
+    is negligible (constant, or collinear with the columns before it).
+    """
+    n, p = X.shape
+    if p >= n:
+        raise ValueError(f"{name} is singular ({p} columns, {n} rows); {hint}")
+    mean = w @ X
+    Xc = X - mean
+    # LAPACK factors a column-major copy in place, with no Q formed
+    joint = np.empty((n, p + (0 if other is None else other.shape[1])), order="F")
+    np.concatenate([Xc] if other is None else [Xc, other], axis=1, out=joint)
+    joint *= np.sqrt(w)[:, None]
+    R = np.triu(dgeqrf(joint, overwrite_a=1)[0][:p])
+    scale = np.abs(mean) + np.max(np.abs(R[:, :p]), axis=0)
+    dead = np.flatnonzero(np.abs(np.diagonal(R)) <= COLLINEAR_RTOL * scale)
+    if dead.size:
         raise ValueError(
-            f"{name} is singular or indefinite (pivot {exc.pivot}); {hint}"
-        ) from exc
-    inv = cho_solve((factor, False), np.eye(M.shape[0]))
-    # an exactly singular matrix can slip through the factorization with a
-    # roundoff-sized pivot; reject by checking the inverse actually inverts
-    resid = np.max(np.abs(M @ inv - np.eye(M.shape[0])))
-    if not np.isfinite(resid) or resid > 1e-6:
-        raise ValueError(f"{name} is singular or badly conditioned; {hint}")
-    return _symmetrize(inv, name)
+            f"{name} is singular: column {dead[0]} is constant or collinear "
+            f"with the columns before it; {hint}"
+        )
+    return Xc, solve_triangular(R[:, :p], np.eye(p)), R[:, p:]
 
 
 def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
@@ -319,9 +337,9 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     Centers ``X`` with the row weights, splits the total covariance T
     into between-group B plus within-group W (an identity this routine
     verifies), and decomposes the triple whose data matrix holds the
-    group means, with the inverse total covariance as variable metric and
-    the group masses as weights.  Eigenvalues are the discriminating
-    ratios a'Ba / a'Ta in [0, 1].
+    group means, with the inverse total covariance (factored by weighted
+    QR, never inverted) as variable metric and the group masses as
+    weights.  Eigenvalues are the discriminating ratios a'Ba / a'Ta in [0, 1].
 
     Row coordinates are the observation scores on the discriminant
     vectors (each scaled so a'Ta = 1); column coordinates are the
@@ -343,8 +361,8 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     Raises
     ------
     ValueError
-        If the total covariance is singular: reduce dimensionality
-        (drop collinear columns or run pca first) before trying again.
+        If the total covariance is singular (the message names the column):
+        reduce dimensionality (drop collinear columns or run pca first).
     """
     if not isinstance(groups, GroupCoding):
         groups = GroupCoding.from_labels(groups)
@@ -357,13 +375,9 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     if g < 2:
         raise ValueError("lda needs at least two groups")
     w = _normalized_weights(weights, n)
-    Xc = X - w @ X
+    Xc, Ri, _ = _weighted_qr(X, w, "total covariance")
     wXc = w[:, None] * Xc
     T = _symmetrize(wXc.T @ Xc, "T")
-    Ti = _spd_inverse(
-        T, "total covariance",
-        "reduce dimensionality (drop collinear columns or run pca first)",
-    )
     group_mass = w @ Y
     means = (Y.T @ wXc) / group_mass[:, None]
     between = _symmetrize((group_mass[:, None] * means).T @ means, "B")
@@ -374,8 +388,8 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
         raise np.linalg.LinAlgError(
             f"covariance split failed numerically (residual {split_residual:.3e})"
         )
-    d = decompose(make_triple(means, Ti, group_mass))
-    disc = Ti @ d.axis_basis
+    d = _decompose_factored(means, group_mass, Ri.T, None)
+    disc = Ri @ (Ri.T @ d.axis_basis)
     return MethodResult(
         method="lda",
         decomposition=d,
@@ -411,9 +425,10 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     operator, and at rank ``q`` the fitted operator built from the
     leading axes is the best rank-q approximation.
 
-    ``R`` is positive semidefinite, usually singular, so the
-    decomposition runs through the semidefinite-metric path of
-    :mod:`.linalg`.
+    No covariance is inverted: the weighted QR of X gives the regression
+    coefficients ``A = inv(Sxx) @ Sxy``, so ``R = A @ Qy @ A.T`` has the
+    metric factor ``Gy @ A.T`` with ``Gy.T @ Gy = Qy`` (an eigen-factor, as
+    ``Qy`` may be semidefinite).  ``R``, usually singular, is not factored.
 
     Parameters
     ----------
@@ -430,9 +445,9 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
 
     Extras: ``instrumental_metric`` (R), ``constrained_metric`` (the
     rank-q metric M = R B B' R built from the leading axes, for which
-    the fitted operator is the rank-q truncation), ``fitted_operator``
-    (X R X' D), ``fitted_responses`` (projection of Y onto the column
-    space of X), ``response_metric``.
+    the fitted operator X M X' D is the rank-q truncation of the n x n
+    X R X' D = F Qy F' D, never formed), ``fitted_responses`` (F, the
+    projection of Y onto the column space of X), ``response_metric``.
     """
     X = _as_float_matrix(X, "X")
     Y = _as_float_matrix(Y, "Y")
@@ -442,7 +457,6 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     if q is not None and q < 1:
         raise ValueError("q must be at least 1")
     w = _normalized_weights(weights, n)
-    Xc = X - w @ X
     Yc = Y - w @ Y
     if response_metric is None:
         Qy = np.eye(Y.shape[1])
@@ -453,15 +467,10 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
             raise ValueError(
                 f"response_metric must be {Y.shape[1]}x{Y.shape[1]}, got {Qy.shape}"
             )
-    wXc = w[:, None] * Xc
-    Sxx = _symmetrize(wXc.T @ Xc, "Sxx")
-    Sxxi = _spd_inverse(
-        Sxx, "explanatory covariance",
-        "reduce dimensionality (drop collinear columns or run pca first)",
-    )
-    Sxy = wXc.T @ Yc
-    R = _symmetrize(Sxxi @ Sxy @ Qy @ Sxy.T @ Sxxi, "R")
-    d = decompose_gram_metric(Xc, R, w, rank_request=q)
+    Xc, Ri, QtY = _weighted_qr(X, w, "explanatory covariance", Yc)
+    A = Ri @ QtY
+    R = _symmetrize(A @ Qy @ A.T, "R")
+    d = _decompose_factored(Xc, w, _semidefinite_factor(Qy, "response_metric") @ A.T, q)
     if q is not None and q > d.rank:
         raise ValueError(f"requested rank {q} exceeds the attainable rank {d.rank}")
     Zq = d.axis_basis
@@ -475,8 +484,7 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
         extras={
             "instrumental_metric": R,
             "constrained_metric": constrained,
-            "fitted_operator": (Xc @ R @ Xc.T) * w,
-            "fitted_responses": Xc @ (Sxxi @ Sxy),
+            "fitted_responses": Xc @ A,
             "response_metric": Qy,
         },
     )
@@ -487,18 +495,19 @@ def cca(X1, X2, weights=None) -> MethodResult:
 
     Decomposes the merged triple: both blocks side by side, with the
     block-diagonal metric made of the two inverse within-block
-    covariances.  Its eigenvalues come in pairs 1 +- rho around 1, one
+    covariances, factored by weighted QR ``sqrt(w) * Xkc = Qk @ Rk``
+    as ``inv(Rk).T``.  Its eigenvalues come in pairs 1 +- rho around 1, one
     pair per canonical correlation rho, and that full decomposition is
     returned in the ``decomposition`` field.
 
     Reported eigenvalues (the scree) are the squared canonical
     correlations, obtained from the equivalent cross-block triple: the
-    cross-covariance matrix analyzed in the two inverse-covariance
-    metrics, with block 2 whitened: ``H2 @ S21`` under ``inv(S11)`` and
-    unit weights, where ``H2.T @ H2 = inv(S22)``.  Its axis basis gives
-    the block-1 canonical coefficients (through the block-1 inverse
-    covariance) and its component basis, in whitened block-2
-    coordinates, the block-2 coefficients (through ``H2.T``); each
+    cross-covariance in whitened block-2 coordinates,
+    ``Q2.T @ (sqrt(w) * X1c) = inv(R2).T @ S21``, under the block-1
+    inverse covariance and unit weights.  Its axis basis gives the
+    block-1 canonical coefficients (through the block-1 inverse
+    covariance) and its component basis, in QR-whitened block-2
+    coordinates, the block-2 coefficients (through ``inv(R2)``); each
     canonical variable has unit weighted variance, and paired canonical
     variables have weighted covariance rho.
 
@@ -508,7 +517,7 @@ def cca(X1, X2, weights=None) -> MethodResult:
     Extras: ``canonical_correlations``, ``coefficients_1`` (p1 x q),
     ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q),
     ``cross_decomposition`` (the cross-block Decomposition; its
-    component basis is in whitened block-2 coordinates).
+    component basis is in QR-whitened block-2 coordinates).
     """
     X1 = _as_float_matrix(X1, "X1")
     X2 = _as_float_matrix(X2, "X2")
@@ -518,26 +527,16 @@ def cca(X1, X2, weights=None) -> MethodResult:
             f"blocks must have equal row counts, got {n} and {X2.shape[0]}"
         )
     w = _normalized_weights(weights, n)
-    X1c = X1 - w @ X1
-    X2c = X2 - w @ X2
-    wX2c = w[:, None] * X2c
-    S11i = _spd_inverse(
-        _symmetrize((w[:, None] * X1c).T @ X1c, "S11"), "block-1 covariance",
-        "reduce dimensionality of the first block",
-    )
-    S22i = _spd_inverse(
-        _symmetrize(wX2c.T @ X2c, "S22"), "block-2 covariance",
-        "reduce dimensionality of the second block",
-    )
-    merged = decompose(
-        make_triple(np.hstack([X1c, X2c]), block_diag(S11i, S22i), w)
-    )
-    # whitening block 2 (H2.T @ H2 = inv(S22)) leaves the cross triple unit weights
-    H2 = _cholesky_upper(S22i, "block-2 inverse covariance")
-    cross = decompose(make_triple(H2 @ (wX2c.T @ X1c), S11i, np.ones(X2c.shape[1])))
+    X1c, R1i, _ = _weighted_qr(X1, w, "block-1 covariance",
+                               hint="reduce dimensionality of the first block")
+    X2c, R2i, cross_data = _weighted_qr(X2, w, "block-2 covariance", X1c,
+                                        "reduce dimensionality of the second block")
+    merged = _decompose_factored(np.hstack([X1c, X2c]), w, block_diag(R1i.T, R2i.T), None)
+    # whitening block 2 leaves the cross triple unit weights
+    cross = _decompose_factored(cross_data, np.ones(X2c.shape[1]), R1i.T, None)
     rho = np.sqrt(cross.eigenvalues)
-    coef1 = S11i @ cross.axis_basis
-    coef2 = H2.T @ cross.component_basis
+    coef1 = R1i @ (R1i.T @ cross.axis_basis)
+    coef2 = R2i @ cross.component_basis
     return MethodResult(
         method="cca",
         decomposition=merged,

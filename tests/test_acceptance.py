@@ -188,7 +188,8 @@ def criterion_5():
     O_y = Yc @ Yc.T @ D
     scale = covv(O_y, O_y)
     res_full = pcaiv(X, Y)
-    O_r = res_full.extras["fitted_operator"]
+    fitted = Xc @ np.linalg.lstsq(Xc, Yc, rcond=None)[0]
+    O_r = fitted @ fitted.T @ D
     split_worst = 0.0
     second_at_r = covv(
         O_r - Xc @ res_full.extras["constrained_metric"] @ Xc.T @ D,

@@ -317,6 +317,34 @@ class TestCca:
         assert "canonical_correlations:" in manifest
 
 
+class TestSingularBlocks:
+    @pytest.mark.parametrize("command", ["lda", "pcaiv", "cca"])
+    @pytest.mark.parametrize("rows", [6, 3])
+    def test_rejected_with_hint(self, tmp_path, capsys, command, rows):
+        # 6 rows: column 2 is exactly column 0 - 2 * column 1; 3 rows: p = n
+        rng = np.random.default_rng(96)
+        X = rng.standard_normal((rows, 3))
+        X[:, 2] = X[:, 0] - 2.0 * X[:, 1]
+        other = {
+            "lda": np.eye(2)[np.arange(rows) % 2],
+            "pcaiv": rng.standard_normal((rows, 1)),
+            "cca": rng.standard_normal((rows, 1)),
+        }[command]
+        paths = []
+        for name, M in (("x", X), ("o", other)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "id," + ",".join(f"{name}{j}" for j in range(M.shape[1])) + "\n"
+                + "".join(f"r{i}," + ",".join(repr(float(v)) for v in M[i]) + "\n"
+                          for i in range(rows))
+            )
+            paths.append(str(path))
+        assert run_command([command, *paths]) == 1
+        err = capsys.readouterr().err
+        assert "reduce dimensionality" in err
+        assert ("column 2 is constant or collinear" in err) == (rows == 6)
+
+
 class TestGraphCommands:
     def test_geary_table(self, path_edges, tmp_path, capsys):
         table = tmp_path / "nodes.csv"

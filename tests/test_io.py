@@ -61,11 +61,13 @@ class TestReadTable:
 
     def test_duplicate_labels(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a,a\nr1,1,2\n")
-        with pytest.raises(ValueError, match="duplicate column"):
+        with pytest.raises(ValueError, match="duplicate column") as err:
             read_table(path, "measurements")
+        assert str(err.value) == f"{path}: duplicate column labels: ['a']"
         path2 = make_file(tmp_path, "u.csv", "id,a\nr1,1\nr1,2\n")
-        with pytest.raises(ValueError, match="duplicate row"):
+        with pytest.raises(ValueError, match="duplicate row") as err:
             read_table(path2, "measurements")
+        assert str(err.value) == f"{path2}: duplicate row labels: ['r1']"
 
     def test_empty_file(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "")

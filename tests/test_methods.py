@@ -386,7 +386,8 @@ class TestPcaiv:
         Xc = X - X.mean(axis=0)
         Yc = Y - Y.mean(axis=0)
         O_y = Yc @ Yc.T @ D
-        O_r = res.extras["fitted_operator"]
+        fitted = Xc @ np.linalg.lstsq(Xc, Yc, rcond=None)[0]
+        O_r = fitted @ fitted.T @ D
         O_m = Xc @ res.extras["constrained_metric"] @ Xc.T @ D
         lhs = covv(O_y - O_m, O_y - O_m)
         rhs = covv(O_y - O_r, O_y - O_r) + covv(O_r - O_m, O_r - O_m)
@@ -441,6 +442,13 @@ class TestPcaiv:
             pcaiv(X, y, q=0)
         with pytest.raises(ValueError, match="exceeds the attainable rank"):
             pcaiv(X, y, q=2)
+
+    def test_indefinite_response_metric_rejected(self):
+        rng = np.random.default_rng(47)
+        X = rng.standard_normal((10, 2))
+        Y = rng.standard_normal((10, 2))
+        with pytest.raises(ValueError, match="response_metric has a significantly negative"):
+            pcaiv(X, Y, response_metric=np.diag([1.0, -1.0]))
 
     def test_collinear_explanatory_block_rejected(self):
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
@@ -558,6 +566,108 @@ class TestCca:
             cca(np.ones((3, 2)), np.ones((4, 2)))
 
 
+def _whitened_basis(M, w):
+    """Orthonormal basis of sqrt(w) * (M centred with weights w), by QR."""
+    Mc = M - w @ M
+    return np.linalg.qr(np.sqrt(w)[:, None] * Mc)[0]
+
+
+def _near_collinear(seed=7, n=400):
+    """Block 1's fourth column is its third plus 1e-7 noise, so its
+    covariance has condition number near 1e14; groups and responses both
+    depend on that near-null direction."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 4))
+    X[:, 3] = X[:, 2] + 1e-7 * rng.standard_normal(n)
+    labels = [f"g{i % 3}" for i in range(n)]
+    G = GroupCoding.from_labels(labels).indicator
+    X[:, 3] += 1e-7 * (G @ np.array([0.0, 1.0, -1.0]))
+    X2 = X[:, :3] @ rng.standard_normal((3, 3)) + rng.standard_normal((n, 3))
+    Y = X @ rng.standard_normal((4, 3)) + rng.standard_normal((n, 3))
+    Y += 1e6 * np.outer(X[:, 3] - X[:, 2], np.ones(3))
+    w = rng.uniform(0.5, 2.0, n)
+    return X, X2, Y, labels, G, w
+
+
+class TestNearCollinearBlocks:
+    """Blocks whose covariance is too ill-conditioned to invert still have a
+    well-conditioned weighted QR; results match test-local QR oracles."""
+
+    def test_cca_correlations(self):
+        X, X2, _, _, _, w = _near_collinear()
+        wn = w / w.sum()
+        oracle = np.linalg.svd(
+            _whitened_basis(X, wn).T @ _whitened_basis(X2, wn), compute_uv=False
+        )
+        rho = cca(X, X2, weights=w).extras["canonical_correlations"]
+        npt.assert_allclose(rho, oracle, rtol=1e-8)
+
+    def test_lda_ratios(self):
+        X, _, _, labels, G, w = _near_collinear()
+        wn = w / w.sum()
+        mass = wn @ G
+        scaled = np.sqrt(wn)[:, None] * G / np.sqrt(mass)
+        oracle = np.linalg.svd(_whitened_basis(X, wn).T @ scaled, compute_uv=False) ** 2
+        ratios = lda(X, labels, weights=w).extras["discriminating_ratios"]
+        assert ratios.size == 2
+        npt.assert_allclose(ratios, oracle[:2], rtol=1e-8)
+
+    def test_pcaiv_eigenvalues(self):
+        X, _, Y, _, _, w = _near_collinear()
+        wn = w / w.sum()
+        Yc = Y - wn @ Y
+        oracle = np.linalg.svd(
+            _whitened_basis(X, wn).T @ (np.sqrt(wn)[:, None] * Yc), compute_uv=False
+        ) ** 2
+        lam = pcaiv(X, Y, weights=w).decomposition.eigenvalues
+        npt.assert_allclose(lam, oracle, rtol=1e-8)
+
+    @pytest.mark.parametrize("method", ["lda", "pcaiv", "cca"])
+    def test_constant_or_collinear_column_named(self, method):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((30, 3))
+        labels = [f"g{i % 2}" for i in range(30)]
+        run = {
+            "lda": lambda M: lda(M, labels),
+            "pcaiv": lambda M: pcaiv(M, rng.standard_normal((30, 2))),
+            "cca": lambda M: cca(M, rng.standard_normal((30, 2))),
+        }[method]
+        offset = X.copy()
+        offset[:, 1] = 1e6
+        with pytest.raises(ValueError, match="column 1 is constant or collinear"):
+            run(offset)
+        collinear = X.copy()
+        collinear[:, 2] = 3.0 * X[:, 0] - X[:, 1]
+        with pytest.raises(ValueError, match="column 2 is constant or collinear"):
+            run(collinear)
+
+
+_UNIT_FREE = {
+    "lda": lambda X, Y, w: lda(X, [f"g{i % 3}" for i in range(len(X))], weights=w)
+    .extras["discriminating_ratios"],
+    "cca": lambda X, Y, w: cca(X[:, :3], X[:, 3:], weights=w)
+    .extras["canonical_correlations"],
+    "pcaiv": lambda X, Y, w: pcaiv(X, Y, weights=w).decomposition.eigenvalues,
+}
+
+
+@pytest.mark.parametrize(
+    "method,c",
+    [(m, c) for m in ("lda", "cca") for c in (1e-160, 1e-7, 1e7, 1e160)]
+    + [("pcaiv", c) for c in (1e-150, 1e-7, 1e7, 1e150)],
+)
+def test_unit_free_results_ignore_data_scale(method, c):
+    """lda ratios, cca correlations and pcaiv eigenvalues of (X * c, Y)
+    equal those of (X, Y) across the double range."""
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((60, 5)) @ (np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
+    Y = X[:, :2] @ rng.standard_normal((2, 3)) + rng.standard_normal((60, 3))
+    w = rng.uniform(0.5, 2.0, 60)
+    ref = _UNIT_FREE[method](X, Y, w)
+    assert ref.size >= 2
+    npt.assert_allclose(_UNIT_FREE[method](X * c, Y, w), ref, rtol=1e-12)
+
+
 # One n x n float array at n = 3000 takes 72 MB; O(n p) work stays far below.
 _TALL_N = 3000
 _TALL_CALLS = {
@@ -566,6 +676,7 @@ _TALL_CALLS = {
     "pca-standardized": lambda X, w, N: pca(X, standardize=True),
     "lda": lambda X, w, N: lda(X, [f"g{i % 3}" for i in range(_TALL_N)]),
     "cca": lambda X, w, N: cca(X[:, :6], X[:, 6:]),
+    "pcaiv": lambda X, w, N: pcaiv(X[:, :6], X[:, 6:], weights=w),
     "ca": lambda X, w, N: ca(ContingencyTable(N)),
     "rv_triples": lambda X, w, N: rv_triples(
         make_triple(X[:, :6], np.eye(6), w), make_triple(X[:, 6:], np.eye(4), w)
