@@ -14,6 +14,17 @@ is the correspondence analysis of M read as a contingency table, with
 eigenvalue relation lambda = (1 - mu)^2.  It is solved in the symmetric
 form (I - S M S) y = mu y with S = Dg^(-1/2) and x = S y, where S M S is
 the standardized table of that correspondence analysis (eigenvalues 1 - mu).
+
+The graph is stored sparse, as a CSR adjacency and its degree vector, so
+reading, validating, splitting into components and the local variance
+statistics (sums over the edge list) all take O(|E|) memory.  An n x n
+array is built only when a caller asks for that operator:
+``Graph.adjacency`` and :func:`laplacian`.  :func:`spectrum` solves each
+connected component for only the pairs it returns.  A component that
+needs few pairs for its size, as :func:`layout` and
+:func:`regress_on_covariates` usually do, runs ARPACK's Lanczos iteration
+on the sparse S M S; any other request, such as the full spectrum, runs a
+dense ``eigh``, which is also the fallback when ARPACK does not converge.
 """
 
 from __future__ import annotations
@@ -23,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .linalg import _as_float_matrix, _frozen, _orient_columns, _tie_flags
+from .linalg import _orient_columns, _tie_flags
 from .methods import MethodResult, _check_labels, pcaiv
 
 __all__ = [
@@ -44,55 +56,95 @@ __all__ = [
     "regress_on_covariates",
 ]
 
+# A connected component is solved by ARPACK when it needs at most one
+# eigenpair per this many nodes; otherwise dense eigh is cheaper.
+_NODES_PER_SPARSE_PAIR = 32
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph as a symmetric 0/1 adjacency matrix.
+    """Simple undirected graph as a sparse symmetric 0/1 adjacency matrix.
 
-    ``total_degree`` is the sum of all degrees, i.e. twice the edge
-    count.  Build through :func:`make_graph`.
+    ``csr`` is the adjacency in canonical CSR form (sorted indices, no
+    duplicate or explicit zero entries) with read-only ``data``,
+    ``indices`` and ``indptr`` arrays.  ``total_degree`` is the sum of
+    all degrees, i.e. twice the edge count.  Build through
+    :func:`make_graph`.
     """
 
-    adjacency: np.ndarray
+    csr: csr_array
     degrees: np.ndarray
     total_degree: int
     node_labels: tuple[str, ...]
 
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.degrees.shape[0]
 
     @property
     def n_edges(self) -> int:
         return self.total_degree // 2
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense n x n adjacency, built on each access, read-only."""
+        M = self.csr.toarray()
+        M.setflags(write=False)
+        return M
+
+
+def _csr_rows(A: csr_array) -> np.ndarray:
+    """Row index of every stored entry, in storage order."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
 
 def make_graph(adjacency, node_labels=None) -> Graph:
-    """Validate an adjacency matrix: square, 0/1, symmetric, no self loops."""
-    M = _as_float_matrix(adjacency, "adjacency")
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError(f"adjacency must be square, got {M.shape}")
-    if not np.all(np.isin(M, (0.0, 1.0))):
-        i, j = np.argwhere(~np.isin(M, (0.0, 1.0)))[0]
+    """Validate an adjacency matrix, dense or scipy-sparse: finite, square,
+    0/1, symmetric, no self loops.  Duplicate sparse entries are summed
+    first, and each error names the first offending entry in row-major
+    order."""
+    sparse = issparse(adjacency)
+    M = adjacency if sparse else np.asarray(adjacency, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"adjacency must be a 2-D matrix, got ndim={M.ndim}")
+    # Copy sparse input: the canonicalization below works in place.
+    A = csr_array(M, dtype=float, copy=sparse)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    rows = _csr_rows(A)
+
+    def first(mask) -> tuple[int, int]:
+        e = np.flatnonzero(mask)[0]
+        return int(rows[e]), int(A.indices[e])
+
+    if not np.all(np.isfinite(A.data)):
+        i, j = first(~np.isfinite(A.data))
+        raise ValueError(f"adjacency contains non-finite entries (entry ({i}, {j}))")
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"adjacency must be square, got {A.shape}")
+    if np.any(A.data != 1.0):
+        i, j = first(A.data != 1.0)
         raise ValueError(f"adjacency entries must be 0 or 1 (entry ({i}, {j}) is not)")
-    if not np.array_equal(M, M.T):
-        i, j = np.argwhere(M != M.T)[0]
+    skew = A - A.T
+    skew.sum_duplicates()
+    skew.eliminate_zeros()
+    if skew.nnz:
+        i, j = int(_csr_rows(skew)[0]), int(skew.indices[0])
         raise ValueError(f"adjacency must be symmetric (entries ({i}, {j}) / ({j}, {i}) differ)")
-    loops = np.flatnonzero(np.diagonal(M))
+    loops = rows[rows == A.indices]
     if loops.size:
         raise ValueError(f"self loops are not allowed (node {int(loops[0])})")
     labels = _check_labels(node_labels, n, "node", "v")
-    degrees = M.sum(axis=1)
-    return Graph(
-        adjacency=_frozen(M),
-        degrees=_frozen(degrees),
-        total_degree=int(degrees.sum()),
-        node_labels=labels,
-    )
+    for part in (A.data, A.indices, A.indptr):
+        part.setflags(write=False)
+    degrees = np.diff(A.indptr).astype(float)
+    degrees.setflags(write=False)
+    return Graph(csr=A, degrees=degrees, total_degree=int(A.nnz), node_labels=labels)
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Degree matrix minus adjacency; annihilates the constant vector."""
+    """Dense degree matrix minus adjacency; annihilates the constant vector."""
     return np.diag(g.degrees) - g.adjacency
 
 
@@ -100,14 +152,15 @@ def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """Connected components as (node index array, subgraph) pairs,
     ordered by smallest node index.  A connected graph is returned as
     itself, ``[(np.arange(n), g)]``."""
-    n_comp, labels = connected_components(csr_matrix(g.adjacency), directed=False)
+    n_comp, labels = connected_components(g.csr, directed=False)
     if n_comp == 1:
         return [(np.arange(g.n_nodes), g)]
+    # Components are numbered in order of their smallest node.
+    order = np.argsort(labels, kind="stable")
     out = []
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
+    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
         sub = make_graph(
-            g.adjacency[np.ix_(idx, idx)],
+            g.csr[idx][:, idx],
             node_labels=[g.node_labels[i] for i in idx],
         )
         out.append((idx, sub))
@@ -127,20 +180,26 @@ def _covariates(g: Graph, X) -> np.ndarray:
     return X
 
 
+def _edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
+    """x_u - x_v for every edge {u, v} with u < v, one row per edge."""
+    rows = _csr_rows(g.csr)
+    upper = rows < g.csr.indices
+    return X[rows[upper]] - X[g.csr.indices[upper]]
+
+
 def local_variance(g: Graph, X) -> np.ndarray:
     """Average squared difference across edges, per covariate column.
 
     For column x this is the double sum of adjacency-weighted squared
     differences over ordered node pairs, divided by twice the total
-    degree; equivalently x' (Dg - M) x / total_degree.  Zero exactly for
-    constant columns.
+    degree; equivalently x' (Dg - M) x / total_degree.  Summed over the
+    edge list, so it is exactly zero for constant columns.
     """
     if g.total_degree == 0:
         raise ValueError("local variance needs at least one edge")
     X = _covariates(g, X)
-    L = laplacian(g)
-    # Ordered-pair double sum = 2 x'Lx, then the 1/(2 * total_degree) factor.
-    return np.einsum("ij,ik,kj->j", X, L, X) / g.total_degree
+    # Each edge is two ordered pairs, cancelling the 1/2 of 1/(2 * total_degree).
+    return np.sum(_edge_differences(g, X) ** 2, axis=0) / g.total_degree
 
 
 def geary(g: Graph, x) -> float:
@@ -156,7 +215,7 @@ def geary(g: Graph, x) -> float:
         raise ValueError(f"x must have length {g.n_nodes}, got {x.shape[0]}")
     if not np.any(x):
         raise ValueError("geary is undefined for the zero vector")
-    num = x @ laplacian(g) @ x
+    num = np.sum(_edge_differences(g, x) ** 2)
     den = np.sum(g.degrees * x * x)
     if den == 0.0:
         raise ValueError("geary is undefined: x is supported only on isolated nodes")
@@ -189,7 +248,8 @@ def local_covariance(g: Graph, X) -> np.ndarray:
     if g.total_degree == 0:
         raise ValueError("local covariance needs at least one edge")
     X = _covariates(g, X)
-    V = X.T @ laplacian(g) @ X / (2 * g.total_degree)
+    E = _edge_differences(g, X)
+    V = E.T @ E / (2 * g.total_degree)
     return (V + V.T) / 2.0
 
 
@@ -254,30 +314,66 @@ def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> Gra
         raise ValueError(
             f"k must be in [1, {total}] (the graph has {total} nontrivial eigenpairs)"
         )
-    mus, blocks = [np.zeros(0)], [np.zeros((n, 0))]
+    solved = []
     for idx, sub in parts:
-        s = 1.0 / np.sqrt(sub.degrees)
-        mu, Y = eigh(np.eye(idx.size) - s[:, None] * sub.adjacency * s,
-                     subset_by_index=[0, min(k, idx.size - 1)])
+        mu, X = _smallest_pairs(sub, min(k, idx.size - 1))
         # The component is connected, so exactly one trivial pair leads.
         if mu[0] > 1e-8:
             raise np.linalg.LinAlgError(
                 f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
             )
-        block = np.zeros((n, mu.size - 1))
-        block[idx] = s[:, None] * Y[:, 1:]
-        mus.append(mu[1:])
-        blocks.append(block)
-    mu = np.concatenate(mus)
+        solved.append((idx, mu[1:], X))
+    mu = np.concatenate([m for _, m, _ in solved])
     take = np.argsort(mu, kind="stable")[:k]
-    vectors = np.hstack(blocks)[:, take]
+    # Output column of each pooled pair, -1 for pairs not returned.
+    column = np.full(mu.size, -1)
+    column[take] = np.arange(k)
+    vectors = np.zeros((n, k))
+    start = 0
+    for idx, m, X in solved:
+        for j, col in enumerate(column[start:start + m.size], start=1):
+            if col >= 0:
+                vectors[idx, col] = X[:, j]
+        start += m.size
     _orient_columns(vectors)
+    eigenvalues = mu[take]
+    for out in (eigenvalues, vectors):
+        out.setflags(write=False)
     return GraphSpectrum(
-        eigenvalues=_frozen(mu[take]),
-        vectors=_frozen(vectors),
+        eigenvalues=eigenvalues,
+        vectors=vectors,
         trivial_dropped=True,
         n_components=n_comp,
     )
+
+
+def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m + 1 smallest eigenpairs (mu, x) of a connected graph, mu
+    ascending, x orthonormal in the degree metric."""
+    n = g.n_nodes
+    s = 1.0 / np.sqrt(g.degrees)
+    mu = None
+    if (m + 1) * _NODES_PER_SPARSE_PAIR <= n:
+        A = g.csr
+        SMS = csr_array((s[_csr_rows(A)] * A.data * s[A.indices], A.indices, A.indptr),
+                        shape=(n, n))
+        try:
+            # The largest 1 - mu are the smallest mu.  A fixed seed fixes the
+            # starting vector and any restart, so results repeat exactly.
+            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0)
+            mu, Y = 1.0 - w[::-1], Y[:, ::-1]
+        except ArpackNoConvergence:
+            pass
+    if mu is None:
+        B = g.csr.toarray(order="F")
+        B *= s[:, None]
+        B *= s
+        np.negative(B, out=B)
+        # M has no loops, so this diagonal is zero before the identity is added.
+        np.fill_diagonal(B, 1.0)
+        mu, Y = eigh(B, overwrite_a=True, subset_by_index=[0, m])
+    Y *= s[:, None]
+    return mu, Y
 
 
 def layout(g: Graph) -> np.ndarray:

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graph import Graph, make_graph
 from .methods import _check_labels
@@ -183,9 +184,9 @@ def read_edges(path: str, delimiter: str | None = None) -> Graph:
                 nodes.append(lab)
         a, b = sorted((index[u], index[v]))
         pairs.add((a, b))
-    M = np.zeros((len(nodes), len(nodes)))
-    for a, b in pairs:
-        M[a, b] = M[b, a] = 1.0
+    a, b = np.array(list(pairs)).T
+    n = len(nodes)
+    M = csr_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
     return make_graph(M, node_labels=nodes)
 
 

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import triptych.graph
 from triptych import (
@@ -427,6 +429,44 @@ class TestGraphCommands:
         monkeypatch.setattr(triptych.graph, "eigh", counting_eigh)
         assert run_command(["layout", str(edges), "--axes", "2"]) == 0
         assert full_solves == [n]
+
+    def test_arpack_no_convergence_falls_back_to_dense(self, tmp_path, monkeypatch,
+                                                       capsys):
+        rng = np.random.default_rng(8)
+        n = 200
+        pairs = {(i, i + 1) for i in range(n - 1)}
+        while len(pairs) < 2 * n:
+            i, j = sorted(int(v) for v in rng.integers(0, n, 2))
+            if i != j:
+                pairs.add((i, j))
+        edges = tmp_path / "ring.csv"
+        edges.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
+        g = read_edges(str(edges))
+        deg = np.asarray(g.degrees)
+        s = 1.0 / np.sqrt(deg)
+        mu, Y = scipy.linalg.eigh(np.eye(n) - s[:, None] * np.asarray(g.adjacency) * s,
+                                  subset_by_index=[0, 3])
+        mu, X = mu[1:], s[:, None] * Y[:, 1:]
+        requested = []
+
+        def failing_eigsh(*args, **kwargs):
+            requested.append(kwargs["k"])
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
+
+        monkeypatch.setattr(triptych.graph, "eigsh", failing_eigsh)
+        sp = spectrum(g, k=3)
+        npt.assert_allclose(sp.eigenvalues, mu, rtol=0, atol=1e-12)
+        signs = np.sign(np.sum(sp.vectors * deg[:, None] * X, axis=0))
+        npt.assert_allclose(sp.vectors, X * signs, rtol=0, atol=1e-10)
+        coords = layout(g)
+        npt.assert_allclose(coords, sp.vectors[:, :2] * np.sqrt(1.0 - mu[:2]),
+                            rtol=0, atol=1e-12)
+        assert run_command(["layout", str(edges), "--axes", "2"]) == 0
+        labels, rows = read_tsv_matrix(tmp_path / "ring_rows.tsv")
+        assert labels == list(g.node_labels)
+        npt.assert_allclose(rows, coords, rtol=0, atol=1e-12)
+        # spectrum, layout and the CLI's layout each tried ARPACK first
+        assert requested == [4, 4, 4]
 
     def test_graph_regress_scree_mode(self, tmp_path, capsys):
         edges = tmp_path / "net.csv"

@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+import scipy.sparse as sps
 
+import triptych.graph
 from triptych import (
     ContingencyTable,
     ca,
@@ -64,6 +67,25 @@ def random_connected(rng, n):
     return make_graph(M)
 
 
+def sparse_graph(n, edges):
+    """Graph on n nodes from an (m, 2) array of undirected edges, built
+    without a dense n x n array."""
+    a, b = np.asarray(edges).T
+    M = sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
+    return make_graph(M)
+
+
+def ring_edges(n):
+    return np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+
+
+def ring_with_chords(rng, n, offset=0):
+    chords = rng.integers(0, n, (2 * n, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    edges = np.unique(np.sort(np.vstack([ring_edges(n), chords]), axis=1), axis=0)
+    return edges + offset
+
+
 def brute_pair_sum(M, x, y):
     s = 0.0
     n = M.shape[0]
@@ -113,6 +135,58 @@ class TestMakeGraph:
         npt.assert_array_equal(idx0, [0, 1, 2])
         assert sub0.n_edges == 3
         assert sub0.node_labels == ("v1", "v2", "v3")
+
+
+class TestSparseInput:
+    def test_sparse_matches_dense_twin(self):
+        rng = np.random.default_rng(80)
+        dense = random_connected(rng, 12)
+        M = np.asarray(dense.adjacency)
+        labels = [f"n{i}" for i in range(12)]
+        for sparse in (sps.csr_array(M), sps.coo_matrix(M), sps.csc_array(M)):
+            g = make_graph(sparse, node_labels=labels)
+            twin = make_graph(M, node_labels=labels)
+            npt.assert_array_equal(g.degrees, twin.degrees)
+            assert g.node_labels == twin.node_labels
+            npt.assert_array_equal(g.adjacency, twin.adjacency)
+            a, b = spectrum(g), spectrum(twin)
+            npt.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            npt.assert_array_equal(a.vectors, b.vectors)
+
+    def test_csr_arrays_read_only(self):
+        g = make_graph(sps.csr_array(np.asarray(path_graph(4).adjacency)))
+        for part in (g.csr.data, g.csr.indices, g.csr.indptr, g.degrees):
+            assert not part.flags.writeable
+
+    def test_input_not_modified(self):
+        # unsorted row 0 with an explicit zero on the diagonal
+        before = sps.csr_array((np.array([1.0, 0.0, 1.0]), np.array([1, 0, 0]),
+                                np.array([0, 2, 3])), shape=(2, 2))
+        data = before.data.copy()
+        make_graph(before)
+        npt.assert_array_equal(before.data, data)
+        assert before.nnz == 3
+
+    @pytest.mark.parametrize("dense, sparse, pattern", [
+        ([[0, 0.5], [0.5, 0]], None, r"0 or 1 \(entry \(0, 1\) is not\)"),
+        ([[0, 2], [2, 0]],
+         sps.coo_array((np.ones(4), ([0, 0, 1, 1], [1, 1, 0, 0])), shape=(2, 2)),
+         r"0 or 1 \(entry \(0, 1\) is not\)"),
+        ([[0, 1, 1], [1, 0, 0], [0, 0, 0]], None,
+         r"symmetric \(entries \(0, 2\) / \(2, 0\) differ\)"),
+        ([[0, 1, 0], [1, 1, 0], [0, 0, 0]], None, r"self loops .* \(node 1\)"),
+        (np.zeros((2, 3)), None, r"square, got \(2, 3\)"),
+        ([[0, 1], [np.nan, 0]], None, r"non-finite entries \(entry \(1, 0\)\)"),
+    ], ids=["non-binary", "duplicates-sum-to-2", "asymmetric", "self-loop",
+            "non-square", "non-finite"])
+    def test_errors_name_entry_as_dense(self, dense, sparse, pattern):
+        with pytest.raises(ValueError, match=pattern) as dense_err:
+            make_graph(dense)
+        if sparse is None:
+            sparse = sps.csr_array(np.asarray(dense, dtype=float))
+        with pytest.raises(ValueError) as sparse_err:
+            make_graph(sparse)
+        assert str(sparse_err.value) == str(dense_err.value)
 
 
 class TestLaplacian:
@@ -349,6 +423,79 @@ class TestSpectrum:
         g = random_connected(rng, 10)
         s1, s2 = spectrum(g), spectrum(g)
         npt.assert_array_equal(s1.vectors, s2.vectors)
+
+
+def _grid_edges(m):
+    idx = np.arange(m * m).reshape(m, m)
+    return np.vstack([
+        np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+        np.column_stack([idx[:-1].ravel(), idx[1:].ravel()]),
+    ])
+
+
+def _complete_bipartite_edges(a, b):
+    left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
+    return np.column_stack([left.ravel(), right.ravel()])
+
+
+_LARGE_GRAPHS = {
+    "cycle-500": lambda: sparse_graph(500, ring_edges(500)),
+    "cycle-2000": lambda: sparse_graph(2000, ring_edges(2000)),
+    "grid-40x40": lambda: sparse_graph(1600, _grid_edges(40)),
+    "complete-500": lambda: sparse_graph(500, np.column_stack(np.triu_indices(500, 1))),
+    "star-500": lambda: sparse_graph(
+        501, np.column_stack([np.zeros(500, int), np.arange(1, 501)])),
+    "bipartite-250-250": lambda: sparse_graph(500, _complete_bipartite_edges(250, 250)),
+    "chords-600": lambda: sparse_graph(
+        600, ring_with_chords(np.random.default_rng(81), 600)),
+    "chords-1500": lambda: sparse_graph(
+        1500, ring_with_chords(np.random.default_rng(82), 1500)),
+    "two-components": lambda: sparse_graph(900, np.vstack([
+        ring_with_chords(np.random.default_rng(83), 600),
+        ring_with_chords(np.random.default_rng(84), 300, offset=600),
+    ])),
+}
+
+
+class TestSparseSpectrum:
+    """ARPACK pairs above the dense cutoff against a dense eigh oracle, on
+    graphs whose mu are doubled (cycles, grid) or repeated hundreds of
+    times (complete, star, complete bipartite)."""
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_GRAPHS))
+    def test_matches_dense_oracle(self, name, monkeypatch):
+        g = _LARGE_GRAPHS[name]()
+        per_component = name == "two-components"
+        n_comp = 2 if per_component else 1
+        deg = np.asarray(g.degrees)
+        s = 1.0 / np.sqrt(deg)
+        M = np.asarray(g.adjacency)
+        mu_ref, Y = scipy.linalg.eigh(np.eye(g.n_nodes) - s[:, None] * M * s,
+                                      subset_by_index=[0, n_comp + 10])
+        npt.assert_allclose(mu_ref[:n_comp], 0.0, atol=1e-12)
+        mu_ref, X_ref = mu_ref[n_comp:], s[:, None] * Y[:, n_comp:]
+        real_eigsh = triptych.graph.eigsh
+        sparse_calls = []
+
+        def counting_eigsh(*args, **kwargs):
+            sparse_calls.append(kwargs["k"])
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(triptych.graph, "eigsh", counting_eigsh)
+        for k in (3, 5, 10):
+            sparse_calls.clear()
+            sp = spectrum(g, k=k, per_component=per_component)
+            assert sparse_calls, f"k={k} did not reach the sparse solver"
+            npt.assert_allclose(sp.eigenvalues, mu_ref[:k], rtol=0, atol=1e-12)
+            V = sp.vectors
+            npt.assert_allclose(V.T @ (deg[:, None] * V), np.eye(k), rtol=0, atol=1e-12)
+            gaps = np.diff(np.r_[0.0, mu_ref[:k + 1]])
+            for j in np.flatnonzero(np.minimum(gaps[:k], gaps[1:]) > 1e-6):
+                sign = np.sign(V[:, j] @ (deg * X_ref[:, j]))
+                npt.assert_allclose(V[:, j], sign * X_ref[:, j], rtol=0, atol=1e-10)
+            again = spectrum(g, k=k, per_component=per_component)
+            npt.assert_array_equal(again.eigenvalues, sp.eigenvalues)
+            npt.assert_array_equal(again.vectors, sp.vectors)
 
 
 class TestAdjacencyCorrespondence:

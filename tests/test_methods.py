@@ -13,10 +13,16 @@ from triptych import (
     chi_square,
     covv,
     decompose,
+    geary,
+    layout,
     lda,
+    local_covariance,
+    local_variance,
     make_triple,
     pca,
     pcaiv,
+    read_edges,
+    regress_on_covariates,
     rv_triples,
 )
 
@@ -684,15 +690,41 @@ _TALL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TALL_CALLS))
-def test_peak_memory_has_no_n_by_n_term(name):
+# Graph cases run on a 3000-node ring with two random chords per node:
+# O(|E|) work, while one dense adjacency or Laplacian is again 72 MB.
+_GRAPH_CALLS = {
+    "graph-read_edges": lambda g, X, path: read_edges(path),
+    "graph-local_variance": lambda g, X, path: local_variance(g, X),
+    "graph-geary": lambda g, X, path: geary(g, X[:, 0]),
+    "graph-local_covariance": lambda g, X, path: local_covariance(g, X),
+    "graph-layout": lambda g, X, path: layout(g),
+    "graph-regress": lambda g, X, path: regress_on_covariates(g, X, k=3),
+}
+
+
+def _write_ring_with_chords(rng, n, path):
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    chords = rng.integers(0, n, (2 * n, 2))
+    edges = np.vstack([ring, chords[chords[:, 0] != chords[:, 1]]])
+    path.write_text("source,target\n" + "".join(f"v{a},v{b}\n" for a, b in edges.tolist()))
+
+
+@pytest.mark.parametrize("name", sorted(_TALL_CALLS) + sorted(_GRAPH_CALLS))
+def test_peak_memory_has_no_n_by_n_term(name, tmp_path):
     rng = np.random.default_rng(41)
-    X = rng.standard_normal((_TALL_N, 10))
-    w = rng.uniform(0.5, 2.0, _TALL_N)
-    N = rng.integers(1, 20, (_TALL_N, 10))
+    if name in _TALL_CALLS:
+        X = rng.standard_normal((_TALL_N, 10))
+        w = rng.uniform(0.5, 2.0, _TALL_N)
+        N = rng.integers(1, 20, (_TALL_N, 10))
+        call, args = _TALL_CALLS[name], (X, w, N)
+    else:
+        path = tmp_path / "edges.csv"
+        _write_ring_with_chords(rng, _TALL_N, path)
+        g = read_edges(str(path))
+        call, args = _GRAPH_CALLS[name], (g, rng.standard_normal((_TALL_N, 3)), str(path))
     tracemalloc.start()
     try:
-        _TALL_CALLS[name](X, w, N)
+        call(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
