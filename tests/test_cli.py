@@ -51,6 +51,17 @@ def path_edges(tmp_path):
     return path
 
 
+def write_path_with_chords(path, rng, n):
+    """Edge list of a path on n nodes plus random chords, 2n edges in all."""
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    while len(pairs) < 2 * n:
+        i, j = sorted(int(v) for v in rng.integers(0, n, 2))
+        if i != j:
+            pairs.add((i, j))
+    path.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
+    return path
+
+
 def read_tsv_matrix(path):
     lines = path.read_text().splitlines()
     labels = [line.split("\t")[0] for line in lines[1:]]
@@ -408,15 +419,8 @@ class TestGraphCommands:
         assert "must be 2" in capsys.readouterr().err
 
     def test_layout_solves_full_spectrum_once(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(7)
         n = 40
-        pairs = {(i, i + 1) for i in range(n - 1)}
-        while len(pairs) < 2 * n:
-            i, j = sorted(int(v) for v in rng.integers(0, n, 2))
-            if i != j:
-                pairs.add((i, j))
-        edges = tmp_path / "ring.csv"
-        edges.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
+        edges = write_path_with_chords(tmp_path / "ring.csv", np.random.default_rng(7), n)
         full_solves = []
         real_eigh = triptych.graph.eigh
 
@@ -432,15 +436,8 @@ class TestGraphCommands:
 
     def test_arpack_no_convergence_falls_back_to_dense(self, tmp_path, monkeypatch,
                                                        capsys):
-        rng = np.random.default_rng(8)
         n = 200
-        pairs = {(i, i + 1) for i in range(n - 1)}
-        while len(pairs) < 2 * n:
-            i, j = sorted(int(v) for v in rng.integers(0, n, 2))
-            if i != j:
-                pairs.add((i, j))
-        edges = tmp_path / "ring.csv"
-        edges.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
+        edges = write_path_with_chords(tmp_path / "ring.csv", np.random.default_rng(8), n)
         g = read_edges(str(edges))
         deg = np.asarray(g.degrees)
         s = 1.0 / np.sqrt(deg)
