@@ -23,14 +23,17 @@ array is built only when a caller asks for that operator:
 connected component for only the pairs it returns.  A component that
 needs few pairs for its size, as :func:`layout` and
 :func:`regress_on_covariates` usually do, runs ARPACK's Lanczos iteration
-on the sparse S M S; any other request, such as the full spectrum, runs a
-dense ``eigh``, which is also the fallback when ARPACK does not converge.
+on the sparse S M S, stopped once its work reaches about that of a dense
+solve of the component.  Any other request, such as the full spectrum,
+runs a dense ``eigh``, which is also the fallback when ARPACK stops short:
+on paths and cycles the smallest mu crowd together as 1/n^2 and Lanczos
+needs more work than the dense solve.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
@@ -56,9 +59,18 @@ __all__ = [
     "regress_on_covariates",
 ]
 
-# A connected component is solved by ARPACK when it needs at most one
-# eigenpair per this many nodes; otherwise dense eigh is cheaper.
+# ARPACK is tried when a component needs at most one eigenpair per this
+# many nodes.  Measured against dense eigh for the same pairs (two BLAS
+# threads, ring-with-chords graphs and grids): at 1000 to 2000 nodes it
+# takes 0.1 of the dense time for 4 pairs and 0.55 to 0.65 at one pair
+# per 31 nodes; below about 500 nodes the two are within a few ms.
 _NODES_PER_SPARSE_PAIR = 32
+# ARPACK's work is counted as products with S M S times its basis size
+# ncv; a dense eigh on n nodes costs n**2 / 21 to n**2 / 48 such units
+# (n = 250 to 3000, ncv = 20).  Each ARPACK run gets n**2 / this many
+# units and then gives way to the dense solve, so a graph Lanczos is slow
+# on costs at most about two dense solves.
+_DENSE_SOLVE_PER_LANCZOS_UNIT = 32
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,13 @@ class Graph:
     """Simple undirected graph as a sparse symmetric 0/1 adjacency matrix.
 
     ``csr`` is the adjacency in canonical CSR form (sorted indices, no
-    duplicate or explicit zero entries) with read-only ``data``,
+    duplicate or explicit zero entries) over read-only ``data``,
     ``indices`` and ``indptr`` arrays.  ``total_degree`` is the sum of
     all degrees, i.e. twice the edge count.  Build through
     :func:`make_graph`.
     """
 
-    csr: csr_array
+    _csr: csr_array = field(repr=False)
     degrees: np.ndarray
     total_degree: int
     node_labels: tuple[str, ...]
@@ -84,6 +96,14 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return self.total_degree // 2
+
+    @property
+    def csr(self) -> csr_array:
+        """Sparse adjacency, a new array object on each access over the
+        graph's read-only arrays: inserting entries into it builds new
+        arrays for that object only and cannot change the graph."""
+        A = self._csr
+        return csr_array((A.data, A.indices, A.indptr), shape=A.shape, copy=False)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -140,7 +160,7 @@ def make_graph(adjacency, node_labels=None) -> Graph:
         part.setflags(write=False)
     degrees = np.diff(A.indptr).astype(float)
     degrees.setflags(write=False)
-    return Graph(csr=A, degrees=degrees, total_degree=int(A.nnz), node_labels=labels)
+    return Graph(_csr=A, degrees=degrees, total_degree=int(A.nnz), node_labels=labels)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -182,9 +202,10 @@ def _covariates(g: Graph, X) -> np.ndarray:
 
 def _edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
     """x_u - x_v for every edge {u, v} with u < v, one row per edge."""
-    rows = _csr_rows(g.csr)
-    upper = rows < g.csr.indices
-    return X[rows[upper]] - X[g.csr.indices[upper]]
+    A = g.csr
+    rows = _csr_rows(A)
+    upper = rows < A.indices
+    return X[rows[upper]] - X[A.indices[upper]]
 
 
 def local_variance(g: Graph, X) -> np.ndarray:
@@ -353,19 +374,23 @@ def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
     n = g.n_nodes
     s = 1.0 / np.sqrt(g.degrees)
     mu = None
+    A = g.csr
     if (m + 1) * _NODES_PER_SPARSE_PAIR <= n:
-        A = g.csr
         SMS = csr_array((s[_csr_rows(A)] * A.data * s[A.indices], A.indices, A.indptr),
                         shape=(n, n))
+        # scipy's default basis size; each restart adds ncv - (m + 1) products.
+        ncv = max(2 * m + 3, 20)
+        restarts = n * n // (_DENSE_SOLVE_PER_LANCZOS_UNIT * ncv * (ncv - m - 1))
         try:
             # The largest 1 - mu are the smallest mu.  A fixed seed fixes the
             # starting vector and any restart, so results repeat exactly.
-            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0)
+            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
+                         maxiter=max(restarts, 1))
             mu, Y = 1.0 - w[::-1], Y[:, ::-1]
         except ArpackNoConvergence:
             pass
     if mu is None:
-        B = g.csr.toarray(order="F")
+        B = A.toarray(order="F")
         B *= s[:, None]
         B *= s
         np.negative(B, out=B)

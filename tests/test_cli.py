@@ -20,6 +20,8 @@ from triptych import (
 )
 from triptych.cli import run_command
 
+from graph_helpers import ring_with_chords, write_edges
+
 
 @pytest.fixture
 def measurements(tmp_path):
@@ -48,17 +50,6 @@ def tied_square(tmp_path):
 def path_edges(tmp_path):
     path = tmp_path / "chain.csv"
     path.write_text("n1,n2\nn2,n3\n")
-    return path
-
-
-def write_path_with_chords(path, rng, n):
-    """Edge list of a path on n nodes plus random chords, 2n edges in all."""
-    pairs = {(i, i + 1) for i in range(n - 1)}
-    while len(pairs) < 2 * n:
-        i, j = sorted(int(v) for v in rng.integers(0, n, 2))
-        if i != j:
-            pairs.add((i, j))
-    path.write_text("".join(f"v{i},v{j}\n" for i, j in sorted(pairs)))
     return path
 
 
@@ -420,7 +411,7 @@ class TestGraphCommands:
 
     def test_layout_solves_full_spectrum_once(self, tmp_path, monkeypatch, capsys):
         n = 40
-        edges = write_path_with_chords(tmp_path / "ring.csv", np.random.default_rng(7), n)
+        edges = write_edges(tmp_path / "ring.csv", ring_with_chords(np.random.default_rng(7), n))
         full_solves = []
         real_eigh = triptych.graph.eigh
 
@@ -437,7 +428,7 @@ class TestGraphCommands:
     def test_arpack_no_convergence_falls_back_to_dense(self, tmp_path, monkeypatch,
                                                        capsys):
         n = 200
-        edges = write_path_with_chords(tmp_path / "ring.csv", np.random.default_rng(8), n)
+        edges = write_edges(tmp_path / "ring.csv", ring_with_chords(np.random.default_rng(8), n))
         g = read_edges(str(edges))
         deg = np.asarray(g.degrees)
         s = 1.0 / np.sqrt(deg)

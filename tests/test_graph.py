@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 import scipy.sparse as sps
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import triptych.graph
 from triptych import (
@@ -20,6 +23,8 @@ from triptych import (
     regress_on_covariates,
     spectrum,
 )
+
+from graph_helpers import ring_edges, ring_with_chords
 
 
 def path_graph(n=3):
@@ -73,17 +78,6 @@ def sparse_graph(n, edges):
     a, b = np.asarray(edges).T
     M = sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
     return make_graph(M)
-
-
-def ring_edges(n):
-    return np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-
-
-def ring_with_chords(rng, n, offset=0):
-    chords = rng.integers(0, n, (2 * n, 2))
-    chords = chords[chords[:, 0] != chords[:, 1]]
-    edges = np.unique(np.sort(np.vstack([ring_edges(n), chords]), axis=1), axis=0)
-    return edges + offset
 
 
 def brute_pair_sum(M, x, y):
@@ -157,6 +151,22 @@ class TestSparseInput:
         g = make_graph(sps.csr_array(np.asarray(path_graph(4).adjacency)))
         for part in (g.csr.data, g.csr.indices, g.csr.indptr, g.degrees):
             assert not part.flags.writeable
+
+    def test_csr_view_cannot_change_graph(self):
+        g = path_graph()
+        A = g.csr
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sps.SparseEfficiencyWarning)
+            for entry in ((0, 2), (0, 1)):
+                try:
+                    A[entry] = 5.0
+                except ValueError:
+                    pass  # the shared arrays are read-only
+        A.resize((4, 4))
+        assert g.csr.shape == (3, 3) and g.csr.nnz == 4
+        npt.assert_array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        npt.assert_array_equal(g.degrees, [1, 2, 1])
+        assert g.total_degree == 4
 
     def test_input_not_modified(self):
         # unsorted row 0 with an explicit zero on the diagonal
@@ -460,7 +470,39 @@ _LARGE_GRAPHS = {
 class TestSparseSpectrum:
     """ARPACK pairs above the dense cutoff against a dense eigh oracle, on
     graphs whose mu are doubled (cycles, grid) or repeated hundreds of
-    times (complete, star, complete bipartite)."""
+    times (complete, star, complete bipartite).  On the cycles ARPACK
+    runs out of its work budget and the dense fallback answers."""
+
+    def test_arpack_work_capped_at_dense_cost(self, monkeypatch):
+        # The smallest mu of a cycle are 1 - cos(2 pi j / n), each doubled,
+        # and crowd together as 1/n^2: Lanczos would need thousands of products.
+        n = 1000
+        g = sparse_graph(n, ring_edges(n))
+        real_eigsh = triptych.graph.eigsh
+        products, outcomes = [], []
+
+        def counting_eigsh(A, **kwargs):
+            def matvec(x):
+                products.append(1)
+                return A @ x
+
+            op = LinearOperator(A.shape, matvec=matvec, dtype=float)
+            try:
+                out = real_eigsh(op, **kwargs)
+            except ArpackNoConvergence:
+                outcomes.append("stopped")
+                raise
+            outcomes.append("converged")
+            return out
+
+        monkeypatch.setattr(triptych.graph, "eigsh", counting_eigsh)
+        sp = spectrum(g, k=3)
+        assert outcomes == ["stopped"]
+        ncv = 20
+        budget = n * n // (triptych.graph._DENSE_SOLVE_PER_LANCZOS_UNIT * ncv)
+        assert len(products) <= budget + ncv
+        mu = 1.0 - np.cos(2 * np.pi * np.array([1, 1, 2]) / n)
+        npt.assert_allclose(sp.eigenvalues, mu, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(_LARGE_GRAPHS))
     def test_matches_dense_oracle(self, name, monkeypatch):

@@ -26,6 +26,8 @@ from triptych import (
     rv_triples,
 )
 
+from graph_helpers import ring_with_chords, write_edges
+
 
 def weighted_op_norm2(S, D):
     # squared norm of the observation-space operator S @ D in the
@@ -702,13 +704,6 @@ _GRAPH_CALLS = {
 }
 
 
-def _write_ring_with_chords(rng, n, path):
-    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-    chords = rng.integers(0, n, (2 * n, 2))
-    edges = np.vstack([ring, chords[chords[:, 0] != chords[:, 1]]])
-    path.write_text("source,target\n" + "".join(f"v{a},v{b}\n" for a, b in edges.tolist()))
-
-
 @pytest.mark.parametrize("name", sorted(_TALL_CALLS) + sorted(_GRAPH_CALLS))
 def test_peak_memory_has_no_n_by_n_term(name, tmp_path):
     rng = np.random.default_rng(41)
@@ -719,7 +714,7 @@ def test_peak_memory_has_no_n_by_n_term(name, tmp_path):
         call, args = _TALL_CALLS[name], (X, w, N)
     else:
         path = tmp_path / "edges.csv"
-        _write_ring_with_chords(rng, _TALL_N, path)
+        write_edges(path, ring_with_chords(rng, _TALL_N))
         g = read_edges(str(path))
         call, args = _GRAPH_CALLS[name], (g, rng.standard_normal((_TALL_N, 3)), str(path))
     tracemalloc.start()
