@@ -297,8 +297,8 @@ def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
 def _decompose_factored(
     X: np.ndarray, w: np.ndarray, G: np.ndarray, rank_request: int | None,
 ) -> Decomposition:
-    """Shared core: decomposition of ``X`` under positive row weights
-    ``w`` and any metric factor ``G`` (``G.T @ G = Q``)."""
+    """Shared core: ``X`` under positive row weights ``w`` and any metric
+    factor ``G`` (``G.T @ G = Q``); a 1-D ``G`` is scaled into the columns."""
     n, p = X.shape
     if rank_request is not None:
         if rank_request < 0:
@@ -309,7 +309,7 @@ def _decompose_factored(
             )
     k = np.sqrt(w)[:, None]
     KX = k * X
-    U, s, _ = svd(KX @ G.T, full_matrices=False)
+    U, s, _ = svd(KX * G if G.ndim == 1 else KX @ G.T, full_matrices=False)
     lam_all = s**2
     lam1 = lam_all[0] if lam_all.size else 0.0
     rank = int(np.count_nonzero(lam_all > ZERO_EIGENVALUE_RTOL * max(lam1, 1.0)))

@@ -1,8 +1,8 @@
 """Classical multivariate methods as triple constructors.
 
-Each method here builds the data matrix, variable metric and observation
-weights appropriate to its question, hands them to the shared
-eigendecomposition in :mod:`.linalg`, and packages the output as a
+Each method here builds the data matrix, a factor of the variable metric
+and the observation weights appropriate to its question, hands them to
+the shared eigendecomposition in :mod:`.linalg`, and packages the output as a
 :class:`MethodResult` with row and column coordinates, a scree table and
 method-specific extras.
 
@@ -32,10 +32,8 @@ from scipy.linalg.lapack import dgeqrf
 
 from .linalg import (
     Decomposition,
-    make_triple,
-    center_columns,
-    decompose,
-    decompose_gram_metric,  # noqa: F401  unused; perfbench/tracing.py rebinds it here
+    # unused here; perfbench/tracing.py rebinds them in this module
+    make_triple, center_columns, decompose, decompose_gram_metric,  # noqa: F401
     _as_float_matrix,
     _decompose_factored,
     _frozen,
@@ -63,7 +61,8 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.full(n, 1.0 / n)
     w = _weight_vector(weights, n, "weights")
-    return w / np.sum(w)
+    # a weight that underflows in the rescaling is rejected, not kept as 0
+    return _weight_vector(w / np.sum(w), n, "weights")
 
 
 class ContingencyTable:
@@ -221,18 +220,19 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
     if n < 2:
         raise ValueError(f"pca needs at least 2 observations, got {n}")
     w = _normalized_weights(weights, n)
-    t = center_columns(make_triple(X, np.eye(p), w))
-    Xc = t.data
+    Xc = X - w @ X / w.sum()
     variances = np.einsum("ij,i,ij->j", Xc, w, Xc)
+    G = np.ones(p)
     if standardize:
-        col_scale = np.maximum(np.max(np.abs(X), axis=0), 1.0)
-        dead = np.flatnonzero(np.sqrt(variances) <= 1e-12 * col_scale)
+        floor = 1e-12 * np.maximum(np.max(np.abs(X), axis=0), 1.0)
+        dead = np.flatnonzero(~np.isfinite(variances) | (np.sqrt(variances) <= floor))
         if dead.size:
             j = int(dead[0])
             name = col_labels[j] if col_labels is not None else f"column {j}"
-            raise ValueError(f"cannot standardize: {name} has zero variance")
-        t = make_triple(Xc, np.diag(1.0 / variances), w)
-    d = decompose(t)
+            size = "zero" if np.isfinite(variances[j]) else "overflowing"
+            raise ValueError(f"cannot standardize: {name} has {size} variance")
+        G = np.sqrt(1.0 / variances)
+    d = _decompose_factored(Xc, w, G, None)
     return MethodResult(
         method="pca",
         decomposition=d,
@@ -282,11 +282,10 @@ def ca(tbl: ContingencyTable) -> MethodResult:
     Extras: ``chi_square``, ``dof``, ``row_masses``, ``col_masses``.
     """
     F = tbl.counts / tbl.total
-    r = F.sum(axis=1)
-    c = F.sum(axis=0)
-    X = F / np.outer(r, c) - 1.0
-    t = make_triple(X, np.diag(c), r)
-    d = decompose(t)
+    r = _weight_vector(F.sum(axis=1), F.shape[0], "row masses")
+    c = _weight_vector(F.sum(axis=0), F.shape[1], "column masses")
+    X = _as_float_matrix(F / np.outer(r, c) - 1.0, "X")
+    d = _decompose_factored(X, r, np.sqrt(c), None)
     stat, dof = chi_square(tbl)
     return MethodResult(
         method="ca",

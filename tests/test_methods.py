@@ -5,11 +5,14 @@ import numpy.testing as npt
 import pytest
 import scipy.stats
 
+import triptych.linalg
 from triptych import (
     ContingencyTable,
     GroupCoding,
+    NotPositiveDefiniteError,
     ca,
     cca,
+    center_columns,
     chi_square,
     covv,
     decompose,
@@ -115,6 +118,14 @@ class TestPca:
             pca(X, standardize=True)
         # without standardization the dead column is fine
         assert pca(X).decomposition.rank == 1
+
+    def test_overflowing_variance_named(self):
+        X = np.random.default_rng(34).standard_normal((6, 3))
+        X[:, 1] *= 1e160
+        with pytest.raises(ValueError, match="price has overflowing variance"):
+            pca(X, standardize=True, col_labels=["size", "price", "age"])
+        with pytest.raises(ValueError, match="column 1 has overflowing variance"):
+            pca(X, standardize=True)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -245,6 +256,15 @@ class TestCa:
         npt.assert_allclose(res.extras["row_masses"], r, rtol=1e-15)
         npt.assert_allclose(res.extras["col_masses"], c, rtol=1e-15)
 
+    def test_degenerate_masses_rejected(self):
+        # the grand total overflows, so every proportion is 0
+        with pytest.raises(ValueError):
+            ca(ContingencyTable(np.full((2, 2), 1e308)))
+        # row 0's mass underflows to 0 against the others
+        counts = [[1e-300, 1e-300], [1e300, 1e300], [1e300, 2e300]]
+        with pytest.raises(NotPositiveDefiniteError, match=r"row masses .*pivot 0"):
+            ca(ContingencyTable(counts))
+
     def test_principal_coordinate_normalization(self):
         rng = np.random.default_rng(36)
         counts = rng.integers(1, 25, size=(5, 4))
@@ -255,6 +275,80 @@ class TestCa:
         Dc = np.diag(res.extras["col_masses"])
         npt.assert_allclose(res.row_coords.T @ Dr @ res.row_coords, lam, atol=1e-12)
         npt.assert_allclose(res.col_coords.T @ Dc @ res.col_coords, lam, atol=1e-12)
+
+
+_ROUTE_CASES = ["pca", "pca-weighted", "pca-standardized", "pca-standardized-weighted", "ca"]
+
+
+def _method_and_triple_route(case):
+    """Two calls on the same input: the pca or ca method, and the
+    decomposition of its triple built through the public Triple route."""
+    rng = np.random.default_rng(37)
+    if case == "ca":
+        tbl = ContingencyTable(rng.integers(1, 30, (40, 25)))
+        F = tbl.counts / tbl.total
+        r, c = F.sum(axis=1), F.sum(axis=0)
+        X = F / np.outer(r, c) - 1.0
+        return lambda: ca(tbl), lambda: decompose(make_triple(X, np.diag(c), r))
+    X = rng.standard_normal((60, 12)) * rng.uniform(0.1, 10, 12) + 3.0
+    weights = rng.uniform(0.2, 3.0, 60) if "weighted" in case else None
+    w = np.full(60, 1 / 60) if weights is None else weights / weights.sum()
+    standardize = "standardized" in case
+
+    def triple_route():
+        t = center_columns(make_triple(X, np.eye(12), w))
+        if standardize:
+            var = np.einsum("ij,i,ij->j", t.data, w, t.data)
+            t = make_triple(t.data, np.diag(1.0 / var), w)
+        return decompose(t)
+
+    return lambda: pca(X, standardize=standardize, weights=weights), triple_route
+
+
+class TestTripleRoute:
+    """pca and ca hand their factored triple straight to the core; the
+    result is the public Triple route's, bit for bit, without a Cholesky."""
+
+    @pytest.mark.parametrize("case", _ROUTE_CASES)
+    def test_bitwise_equal_to_triple_route(self, case):
+        method, triple_route = _method_and_triple_route(case)
+        d, ref = method().decomposition, triple_route()
+        for name in ("eigenvalues", "axis_basis", "principal_axes", "component_basis",
+                     "principal_components", "inertia", "tie_flags"):
+            assert np.array_equal(getattr(d, name), getattr(ref, name)), name
+        assert (d.rank, d.n_axes) == (ref.rank, ref.n_axes)
+
+    @pytest.mark.parametrize("case", _ROUTE_CASES)
+    def test_no_cholesky(self, case, monkeypatch):
+        calls = []
+        real_dpotrf = triptych.linalg.dpotrf
+
+        def counting_dpotrf(*args, **kwargs):
+            calls.append(1)
+            return real_dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(triptych.linalg, "dpotrf", counting_dpotrf)
+        method, triple_route = _method_and_triple_route(case)
+        method()
+        assert calls == []
+        triple_route()
+        assert calls  # the count does see the Triple route's factorizations
+
+
+@pytest.mark.parametrize("method", ["pca", "pca-standardized", "lda", "pcaiv", "cca"])
+def test_weight_that_rounds_to_zero_rejected(method):
+    rng = np.random.default_rng(39)
+    X = rng.standard_normal((30, 3))
+    w = np.r_[1e-300, np.full(29, 1e300 / 29)]
+    run = {
+        "pca": lambda: pca(X, weights=w),
+        "pca-standardized": lambda: pca(X, standardize=True, weights=w),
+        "lda": lambda: lda(X, [f"g{i % 2}" for i in range(30)], weights=w),
+        "pcaiv": lambda: pcaiv(X, rng.standard_normal((30, 2)), weights=w),
+        "cca": lambda: cca(X, rng.standard_normal((30, 2)), weights=w),
+    }[method]
+    with pytest.raises(NotPositiveDefiniteError, match=r"weights .*pivot 0"):
+        run()
 
 
 class TestLda:
