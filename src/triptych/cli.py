@@ -264,9 +264,10 @@ def _cmd_layout(args) -> int:
         raise ValueError(
             f"graph is disconnected ({len(parts)} components); rerun with --per-component"
         )
-    sp = spectrum(g, per_component=args.per_component)
+    # One component's eigenvectors at a time, each freed once its mu are read.
+    mu = np.sort(np.concatenate([spectrum(sub).eigenvalues for _, sub in parts]))
     if args.axes is None:
-        print(_spectrum_lines(sp.eigenvalues))
+        print(_spectrum_lines(mu))
         return 0
     coords = np.zeros((g.n_nodes, 2))
     for idx, sub in parts:
@@ -279,12 +280,8 @@ def _cmd_layout(args) -> int:
     stem = args.out or os.path.splitext(args.edges)[0]
     write_coordinates(f"{stem}_rows.tsv", g.node_labels, coords,
                       axis_names=["axis_1", "axis_2"])
-    write_coordinates(
-        f"{stem}_scree.tsv",
-        [str(i + 1) for i in range(sp.eigenvalues.shape[0])],
-        np.asarray(sp.eigenvalues)[:, None],
-        axis_names=["mu"],
-    )
+    write_coordinates(f"{stem}_scree.tsv", [str(i + 1) for i in range(mu.size)],
+                      mu[:, None], axis_names=["mu"])
     write_manifest(f"{stem}_manifest.txt", {
         "tool": f"triptych {__version__}",
         "method": "layout",

@@ -155,11 +155,14 @@ def make_graph(adjacency, node_labels=None) -> Graph:
     loops = rows[rows == A.indices]
     if loops.size:
         raise ValueError(f"self loops are not allowed (node {int(loops[0])})")
-    labels = _check_labels(node_labels, n, "node", "v")
-    for part in (A.data, A.indices, A.indptr):
-        part.setflags(write=False)
+    return _frozen_graph(A, _check_labels(node_labels, n, "node", "v"))
+
+
+def _frozen_graph(A: csr_array, labels: tuple[str, ...]) -> Graph:
+    """Graph over a validated canonical CSR, its arrays made read-only."""
     degrees = np.diff(A.indptr).astype(float)
-    degrees.setflags(write=False)
+    for part in (A.data, A.indices, A.indptr, degrees):
+        part.setflags(write=False)
     return Graph(_csr=A, degrees=degrees, total_degree=int(A.nnz), node_labels=labels)
 
 
@@ -175,14 +178,12 @@ def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     n_comp, labels = connected_components(g.csr, directed=False)
     if n_comp == 1:
         return [(np.arange(g.n_nodes), g)]
-    # Components are numbered in order of their smallest node.
+    # Components are numbered in order of their smallest node.  Slicing the
+    # canonical CSR by an ascending index keeps it canonical.
     order = np.argsort(labels, kind="stable")
     out = []
     for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
-        sub = make_graph(
-            g.csr[idx][:, idx],
-            node_labels=[g.node_labels[i] for i in idx],
-        )
+        sub = _frozen_graph(g.csr[idx][:, idx], tuple(g.node_labels[i] for i in idx))
         out.append((idx, sub))
     return out
 
@@ -305,7 +306,9 @@ def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> Gra
         case each connected component is analyzed separately (each
         dropping its own constant vector) and the eigenpairs are pooled
         in nondecreasing mu order, with vectors supported on their
-        component and zero elsewhere.
+        component and zero elsewhere.  The full pooled spectrum of a
+        graph with c components is thus a dense n x (n - c) matrix; to
+        read only the mu, solve each :func:`component_subgraphs` part.
 
     Raises
     ------

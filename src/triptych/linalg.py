@@ -310,6 +310,10 @@ def _decompose_factored(
     k = np.sqrt(w)[:, None]
     KX = k * X
     U, s, _ = svd(KX * G if G.ndim == 1 else KX @ G.T, full_matrices=False)
+    if s.size and s[0] > np.sqrt(np.finfo(float).max):
+        raise ValueError(
+            f"the leading eigenvalue overflows (singular value {s[0]:.3e}); rescale the data"
+        )
     lam_all = s**2
     lam1 = lam_all[0] if lam_all.size else 0.0
     rank = int(np.count_nonzero(lam_all > ZERO_EIGENVALUE_RTOL * max(lam1, 1.0)))

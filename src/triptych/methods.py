@@ -84,6 +84,10 @@ class ContingencyTable:
             raise ValueError(f"counts must be nonnegative (entry ({i}, {j}) is negative)")
         self.row_labels = _check_labels(row_labels, m, "row", "r")
         self.col_labels = _check_labels(col_labels, p, "column", "c")
+        with np.errstate(over="ignore"):
+            total = float(counts.sum())
+        if total == np.inf:
+            raise ValueError("the grand total of the counts overflows; rescale the counts")
         row_tot = counts.sum(axis=1)
         col_tot = counts.sum(axis=0)
         for i in np.flatnonzero(row_tot == 0):
@@ -95,7 +99,7 @@ class ContingencyTable:
                 f"column '{self.col_labels[j]}' has zero total; drop empty columns first"
             )
         self.counts = _frozen(counts)
-        self.total = float(counts.sum())
+        self.total = total
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -222,16 +226,15 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
     w = _normalized_weights(weights, n)
     Xc = X - w @ X / w.sum()
     variances = np.einsum("ij,i,ij->j", Xc, w, Xc)
-    G = np.ones(p)
+    dead = ~np.isfinite(variances)
     if standardize:
-        floor = 1e-12 * np.maximum(np.max(np.abs(X), axis=0), 1.0)
-        dead = np.flatnonzero(~np.isfinite(variances) | (np.sqrt(variances) <= floor))
-        if dead.size:
-            j = int(dead[0])
-            name = col_labels[j] if col_labels is not None else f"column {j}"
-            size = "zero" if np.isfinite(variances[j]) else "overflowing"
-            raise ValueError(f"cannot standardize: {name} has {size} variance")
-        G = np.sqrt(1.0 / variances)
+        dead |= np.sqrt(variances) <= 1e-12 * np.maximum(np.max(np.abs(X), axis=0), 1.0)
+    for j in np.flatnonzero(dead)[:1]:
+        name = col_labels[j] if col_labels is not None else f"column {j}"
+        if np.isfinite(variances[j]):
+            raise ValueError(f"cannot standardize: {name} has zero variance")
+        raise ValueError(f"{name} has overflowing variance")
+    G = np.sqrt(1.0 / variances) if standardize else np.ones(p)
     d = _decompose_factored(Xc, w, G, None)
     return MethodResult(
         method="pca",

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -403,6 +404,34 @@ class TestGraphCommands:
         _, mu = read_tsv_matrix(tmp_path / "split_scree.tsv")
         npt.assert_allclose(mu[:, 0], spectrum(g, per_component=True).eigenvalues,
                             atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_layout_per_component_small_component(self, tmp_path, capsys):
+        edges = tmp_path / "tripair.csv"
+        edges.write_text("a,b\nb,c\na,c\nd,e\n")
+        assert run_command(["layout", str(edges), "--per-component"]) == 0
+        # triangle: mu = 1.5 twice; the 2-node component: mu = 2
+        assert capsys.readouterr().out.splitlines() == [
+            "axis\tmu", "1\t1.50000", "2\t1.50000", "3\t2.00000"]
+        assert run_command(["layout", str(edges), "--axes", "2", "--per-component"]) == 1
+        assert ("error: component of node 'd': layout needs at least 3 nodes"
+                in capsys.readouterr().err)
+
+    def test_layout_per_component_memory(self, tmp_path, capsys):
+        # 300 ten-node components: the pooled n x (n - c) eigenvector matrix
+        # of the whole graph would take 62 MB.
+        rng = np.random.default_rng(12)
+        edges = np.vstack([ring_with_chords(rng, 10, offset=10 * c) for c in range(300)])
+        path = write_edges(tmp_path / "many.csv", edges)
+        tracemalloc.start()
+        try:
+            code = run_command(["layout", str(path), "--per-component"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 300 * 9
+        assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
 
     def test_layout_axes_checked_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

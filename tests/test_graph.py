@@ -130,6 +130,37 @@ class TestMakeGraph:
         assert sub0.n_edges == 3
         assert sub0.node_labels == ("v1", "v2", "v3")
 
+    def test_component_subgraphs_match_make_graph(self, monkeypatch):
+        # Components of shuffled random graphs, compared with make_graph of
+        # the same slice; the split itself must not revalidate.
+        rng = np.random.default_rng(91)
+        cases = []
+        for n_comp in range(1, 21):
+            sizes = rng.integers(1, 9, n_comp)
+            M = scipy.linalg.block_diag(*[
+                random_connected(rng, int(m)).adjacency for m in sizes])
+            perm = rng.permutation(M.shape[0])
+            g = make_graph(M[perm][:, perm], [f"n{i}" for i in perm])
+            cases.append((g, n_comp))
+        with monkeypatch.context() as m:
+            m.setattr(triptych.graph, "make_graph", None)
+            parts = [component_subgraphs(g) for g, _ in cases]
+        for (g, n_comp), comps in zip(cases, parts):
+            assert len(comps) == n_comp
+            npt.assert_array_equal(np.sort(np.concatenate([i for i, _ in comps])),
+                                   np.arange(g.n_nodes))
+            for idx, sub in comps:
+                ref = make_graph(g.csr[idx][:, idx], [g.node_labels[i] for i in idx])
+                assert sub.node_labels == ref.node_labels
+                assert sub.total_degree == ref.total_degree
+                for got, want in ((sub.csr.data, ref.csr.data),
+                                  (sub.csr.indices, ref.csr.indices),
+                                  (sub.csr.indptr, ref.csr.indptr),
+                                  (sub.degrees, ref.degrees)):
+                    assert got.dtype == want.dtype
+                    npt.assert_array_equal(got, want)
+                    assert not got.flags.writeable
+
 
 class TestSparseInput:
     def test_sparse_matches_dense_twin(self):

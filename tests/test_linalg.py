@@ -147,6 +147,16 @@ class TestCenterColumns:
 
 
 class TestDecompose:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_eigenvalue_is_an_error(self):
+        # s**2 would overflow to inf and the rank cut would return rank 0
+        rng = np.random.default_rng(35)
+        X = rng.standard_normal((50, 3))
+        w = rng.uniform(0.5, 2.0, 50)
+        with pytest.raises(ValueError, match="leading eigenvalue overflows"):
+            decompose(make_triple(X * 1e155, np.eye(3), w / w.sum()))
+        assert decompose(make_triple(X * 1e150, np.eye(3), w / w.sum())).rank == 3
+
     def test_rank_one_example(self):
         X = np.array([[1.0, -1.0], [-1.0, 1.0]])
         t = make_triple(X, np.eye(2), np.eye(2) / 2)

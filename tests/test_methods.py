@@ -119,13 +119,18 @@ class TestPca:
         # without standardization the dead column is fine
         assert pca(X).decomposition.rank == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_variance_named(self):
+        # Plain pca too: an error naming the column, not rank 0 with inf
+        # column variances.
         X = np.random.default_rng(34).standard_normal((6, 3))
+        assert pca(X * 1e150).decomposition.rank == 3
         X[:, 1] *= 1e160
-        with pytest.raises(ValueError, match="price has overflowing variance"):
-            pca(X, standardize=True, col_labels=["size", "price", "age"])
-        with pytest.raises(ValueError, match="column 1 has overflowing variance"):
-            pca(X, standardize=True)
+        for standardize in (True, False):
+            with pytest.raises(ValueError, match="price has overflowing variance"):
+                pca(X, standardize=standardize, col_labels=["size", "price", "age"])
+            with pytest.raises(ValueError, match="column 1 has overflowing variance"):
+                pca(X, standardize=standardize)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -161,6 +166,12 @@ class TestContingencyTable:
                              row_labels=["top", "mid", "bot"])
         with pytest.raises(ValueError, match="c2"):
             ContingencyTable([[1, 0], [3, 0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ValueError, match="grand total of the counts overflows"):
+            ContingencyTable(np.full((2, 2), 1e308))
+        assert ContingencyTable(np.full((2, 2), 1e307)).total == 4e307
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="expected 2"):
@@ -257,7 +268,7 @@ class TestCa:
         npt.assert_allclose(res.extras["col_masses"], c, rtol=1e-15)
 
     def test_degenerate_masses_rejected(self):
-        # the grand total overflows, so every proportion is 0
+        # the grand total overflows (rejected by the table itself)
         with pytest.raises(ValueError):
             ca(ContingencyTable(np.full((2, 2), 1e308)))
         # row 0's mass underflows to 0 against the others
