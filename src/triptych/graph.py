@@ -19,15 +19,15 @@ The graph is stored sparse, as a CSR adjacency and its degree vector, so
 reading, validating, splitting into components and the local variance
 statistics (sums over the edge list) all take O(|E|) memory.  An n x n
 array is built only when a caller asks for that operator:
-``Graph.adjacency`` and :func:`laplacian`.  :func:`spectrum` solves each
-connected component for only the pairs it returns.  A component that
-needs few pairs for its size, as :func:`layout` and
-:func:`regress_on_covariates` usually do, runs ARPACK's Lanczos iteration
-on the sparse S M S, stopped once its work reaches about that of a dense
-solve of the component.  Any other request, such as the full spectrum,
-runs a dense ``eigh``, which is also the fallback when ARPACK stops short:
-on paths and cycles the smallest mu crowd together as 1/n^2 and Lanczos
-needs more work than the dense solve.
+``Graph.adjacency`` and :func:`laplacian`.  :func:`spectrum` solves a
+connected graph (the eigenproblem splits over :func:`component_subgraphs`)
+for only the pairs it returns.  A graph that needs few pairs for its
+size, as :func:`layout` and :func:`regress_on_covariates` usually do,
+runs ARPACK's Lanczos iteration on the sparse S M S, stopped once its
+work reaches about that of a dense solve.  Any other request, such as
+the full spectrum, runs a dense ``eigh``, which is also the fallback when
+ARPACK stops short: on paths and cycles the smallest mu crowd together as
+1/n^2 and Lanczos needs more work than the dense solve.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ __all__ = [
     "regress_on_covariates",
 ]
 
-# ARPACK is tried when a component needs at most one eigenpair per this
+# ARPACK is tried when a graph needs at most one eigenpair per this
 # many nodes.  Measured against dense eigh for the same pairs (two BLAS
 # threads, ring-with-chords graphs and grids): at 1000 to 2000 nodes it
 # takes 0.1 of the dense time for 4 pairs and 0.55 to 0.65 at one pair
@@ -178,12 +178,15 @@ def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     n_comp, labels = connected_components(g.csr, directed=False)
     if n_comp == 1:
         return [(np.arange(g.n_nodes), g)]
-    # Components are numbered in order of their smallest node.  Slicing the
-    # canonical CSR by an ascending index keeps it canonical.
+    # Components are numbered by their smallest node.  One stable permutation
+    # makes each a contiguous diagonal block, still in canonical CSR form.
     order = np.argsort(labels, kind="stable")
+    P = g.csr[order][:, order]
+    bounds = np.r_[0, np.cumsum(np.bincount(labels))]
     out = []
-    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
-        sub = _frozen_graph(g.csr[idx][:, idx], tuple(g.node_labels[i] for i in idx))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        sub = _frozen_graph(P[lo:hi, lo:hi], tuple(g.node_labels[i] for i in idx))
         out.append((idx, sub))
     return out
 
@@ -277,98 +280,65 @@ def local_covariance(g: Graph, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphSpectrum:
-    """Nontrivial eigenpairs of (Dg - M) x = mu Dg x.
+    """Nontrivial eigenpairs of (Dg - M) x = mu Dg x on a connected graph.
 
     ``eigenvalues`` is nondecreasing in [0, 2]; ``vectors`` has one
     column per eigenpair, orthonormal in the degree metric
     (vectors' Dg vectors = I).  The trivial pair (mu = 0, constant
-    vector) is dropped, once per connected component.
+    vector) is dropped.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    trivial_dropped: bool
-    n_components: int
 
 
-def spectrum(g: Graph, k: int | None = None, per_component: bool = False) -> GraphSpectrum:
-    """Smallest-mu nontrivial eigenpairs of the graph eigenproblem.
+def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
+    """Smallest-mu nontrivial eigenpairs of a connected graph's eigenproblem.
 
     Parameters
     ----------
     g : Graph
     k : int, optional
-        Number of eigenpairs to return; all nontrivial ones by default.
-        A connected graph on n nodes has n - 1.  ``k`` is checked before
-        any eigensolve, and only the pairs it asks for are computed.
-    per_component : bool
-        A disconnected graph is rejected unless this is set, in which
-        case each connected component is analyzed separately (each
-        dropping its own constant vector) and the eigenpairs are pooled
-        in nondecreasing mu order, with vectors supported on their
-        component and zero elsewhere.  The full pooled spectrum of a
-        graph with c components is thus a dense n x (n - c) matrix; to
-        read only the mu, solve each :func:`component_subgraphs` part.
+        Number of eigenpairs to return; all n - 1 nontrivial ones by
+        default.  ``k`` is checked before any eigensolve, and only the
+        pairs it asks for are computed.
 
     Raises
     ------
     ValueError
-        Disconnected graph without ``per_component``; an isolated node
-        (degenerate weight matrix); k larger than the number of
-        nontrivial pairs.
+        A single node (degenerate weight matrix); a disconnected graph
+        (the eigenproblem splits over components: solve each
+        :func:`component_subgraphs` part instead); k outside [1, n - 1].
     """
     n = g.n_nodes
-    parts = component_subgraphs(g)
-    n_comp = len(parts)
-    if n_comp > 1 and not per_component:
+    if n < 2:
+        raise ValueError(
+            f"node '{g.node_labels[0]}' is isolated; "
+            "the degree weighting is degenerate there"
+        )
+    n_comp = connected_components(g.csr, directed=False, return_labels=False)
+    if n_comp > 1:
         raise ValueError(
             f"graph is disconnected ({n_comp} components); "
-            "pass per_component=True to analyze components separately"
+            "analyze each connected component separately"
         )
-    for idx, sub in parts:
-        if idx.size < 2:
-            raise ValueError(
-                f"node '{sub.node_labels[0]}' is isolated; "
-                "the degree weighting is degenerate there"
-            )
-    total = n - n_comp
     if k is None:
-        k = total
-    elif not 1 <= k <= total:
+        k = n - 1
+    elif not 1 <= k <= n - 1:
         raise ValueError(
-            f"k must be in [1, {total}] (the graph has {total} nontrivial eigenpairs)"
+            f"k must be in [1, {n - 1}] (the graph has {n - 1} nontrivial eigenpairs)"
         )
-    solved = []
-    for idx, sub in parts:
-        mu, X = _smallest_pairs(sub, min(k, idx.size - 1))
-        # The component is connected, so exactly one trivial pair leads.
-        if mu[0] > 1e-8:
-            raise np.linalg.LinAlgError(
-                f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
-            )
-        solved.append((idx, mu[1:], X))
-    mu = np.concatenate([m for _, m, _ in solved])
-    take = np.argsort(mu, kind="stable")[:k]
-    # Output column of each pooled pair, -1 for pairs not returned.
-    column = np.full(mu.size, -1)
-    column[take] = np.arange(k)
-    vectors = np.zeros((n, k))
-    start = 0
-    for idx, m, X in solved:
-        for j, col in enumerate(column[start:start + m.size], start=1):
-            if col >= 0:
-                vectors[idx, col] = X[:, j]
-        start += m.size
+    mu, X = _smallest_pairs(g, k)
+    # The graph is connected, so exactly one trivial pair leads.
+    if mu[0] > 1e-8:
+        raise np.linalg.LinAlgError(
+            f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
+        )
+    eigenvalues, vectors = mu[1:], np.ascontiguousarray(X[:, 1:])
     _orient_columns(vectors)
-    eigenvalues = mu[take]
     for out in (eigenvalues, vectors):
         out.setflags(write=False)
-    return GraphSpectrum(
-        eigenvalues=eigenvalues,
-        vectors=vectors,
-        trivial_dropped=True,
-        n_components=n_comp,
-    )
+    return GraphSpectrum(eigenvalues=eigenvalues, vectors=vectors)
 
 
 def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -325,6 +325,10 @@ def _decompose_factored(
     L = U / k
     _orient_columns(Z, L)
     eigenvalues = lam_all[:rank]
+    with np.errstate(over="ignore"):
+        inertia = float(np.sum(lam_all))
+    if inertia == np.inf:
+        raise ValueError("the total inertia overflows; rescale the data")
     return Decomposition(
         eigenvalues=_frozen(eigenvalues),
         rank=rank,
@@ -333,7 +337,7 @@ def _decompose_factored(
         principal_axes=_frozen(Z * s),
         component_basis=_frozen(L),
         principal_components=_frozen(L * s),
-        inertia=float(np.sum(lam_all)),
+        inertia=inertia,
         tie_flags=_tie_flags(eigenvalues),
     )
 

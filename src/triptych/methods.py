@@ -228,7 +228,7 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
     variances = np.einsum("ij,i,ij->j", Xc, w, Xc)
     dead = ~np.isfinite(variances)
     if standardize:
-        dead |= np.sqrt(variances) <= 1e-12 * np.maximum(np.max(np.abs(X), axis=0), 1.0)
+        dead |= np.sqrt(variances) <= 1e-12 * np.max(np.abs(X), axis=0)
     for j in np.flatnonzero(dead)[:1]:
         name = col_labels[j] if col_labels is not None else f"column {j}"
         if np.isfinite(variances[j]):
@@ -263,8 +263,9 @@ def chi_square(tbl: ContingencyTable) -> tuple[float, int]:
     col_tot = N.sum(axis=0)
     if np.any(row_tot == 0) or np.any(col_tot == 0):
         raise ValueError("chi_square requires positive marginals")
-    expected = np.outer(row_tot, col_tot) / tbl.total
-    stat = float(np.sum((N - expected) ** 2 / expected))
+    # Dividing a margin by the total first keeps the expected counts finite.
+    expected = np.outer(row_tot / tbl.total, col_tot)
+    stat = float(np.sum(((N - expected) / np.sqrt(expected)) ** 2))
     return stat, (m - 1) * (p - 1)
 
 

@@ -402,8 +402,8 @@ class TestGraphCommands:
         for idx, sub in component_subgraphs(g):
             npt.assert_allclose(coords[idx], layout(sub), atol=1e-12)
         _, mu = read_tsv_matrix(tmp_path / "split_scree.tsv")
-        npt.assert_allclose(mu[:, 0], spectrum(g, per_component=True).eigenvalues,
-                            atol=1e-12)
+        # each triangle contributes mu = 1.5 twice
+        npt.assert_allclose(mu[:, 0], [1.5, 1.5, 1.5, 1.5], atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_layout_per_component_small_component(self, tmp_path, capsys):
@@ -508,6 +508,16 @@ class TestGraphCommands:
         assert "method: graph_regress" in manifest
         assert "k: 2" in manifest
         assert "explained_share:" in manifest
+
+    def test_graph_regress_disconnected(self, tmp_path, capsys):
+        edges = tmp_path / "split.csv"
+        edges.write_text("a,b\nb,c\na,c\nx,y\ny,z\nx,z\n")
+        table = tmp_path / "cov.csv"
+        table.write_text("id,f1\na,1\nb,2\nc,1.5\nx,0.5\ny,3\nz,2.5\n")
+        assert run_command(["graph-regress", str(edges), str(table), "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "disconnected" in err
+        assert "per_component" not in err
 
     def test_graph_regress_axes_zero_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "net.csv"

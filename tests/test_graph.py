@@ -389,8 +389,6 @@ class TestSpectrum:
     def test_path_three_nodes(self):
         sp = spectrum(path_graph(3))
         npt.assert_allclose(sp.eigenvalues, [1.0, 2.0], rtol=1e-10)
-        assert sp.trivial_dropped
-        assert sp.n_components == 1
         # mu = 1 eigenvector vanishes on the middle node, mu = 2 alternates
         v1, v2 = sp.vectors[:, 0], sp.vectors[:, 1]
         npt.assert_allclose(v1[1], 0.0, atol=1e-12)
@@ -436,28 +434,29 @@ class TestSpectrum:
             spectrum(g, k=8)
 
     def test_disconnected_rejected_by_default(self):
-        with pytest.raises(ValueError, match="per_component"):
+        with pytest.raises(
+            ValueError,
+            match=r"disconnected \(2 components\); analyze each connected component separately",
+        ):
             spectrum(two_triangles())
 
-    def test_per_component_pooling(self):
-        sp = spectrum(two_triangles(), per_component=True)
-        assert sp.n_components == 2
-        npt.assert_allclose(sp.eigenvalues, [1.5, 1.5, 1.5, 1.5], rtol=1e-10)
-        # each pooled vector lives on exactly one triangle
-        for j in range(4):
-            v = sp.vectors[:, j]
-            head, tail = np.abs(v[:3]).max(), np.abs(v[3:]).max()
-            assert (head == 0.0) != (tail == 0.0)
-        Dg = np.diag(np.asarray(two_triangles().degrees, float))
-        npt.assert_allclose(sp.vectors.T @ Dg @ sp.vectors, np.eye(4),
-                            atol=1e-10)
+    def test_per_component_parts(self):
+        parts = component_subgraphs(two_triangles())
+        assert len(parts) == 2
+        for _, sub in parts:
+            sp = spectrum(sub)
+            npt.assert_allclose(sp.eigenvalues, [1.5, 1.5], rtol=1e-10)
+            Dg = np.diag(np.asarray(sub.degrees, float))
+            npt.assert_allclose(sp.vectors.T @ Dg @ sp.vectors, np.eye(2),
+                                atol=1e-10)
 
     def test_isolated_node_rejected(self):
         M = np.zeros((3, 3))
         M[0, 1] = M[1, 0] = 1
-        with pytest.raises(ValueError, match="isolated"):
-            spectrum(make_graph(M, node_labels=["a", "b", "lonely"]),
-                     per_component=True)
+        g = make_graph(M, node_labels=["a", "b", "lonely"])
+        _, lonely = component_subgraphs(g)[1]
+        with pytest.raises(ValueError, match="node 'lonely' is isolated"):
+            spectrum(lonely)
 
     def test_deterministic(self):
         rng = np.random.default_rng(72)
@@ -537,16 +536,16 @@ class TestSparseSpectrum:
 
     @pytest.mark.parametrize("name", sorted(_LARGE_GRAPHS))
     def test_matches_dense_oracle(self, name, monkeypatch):
-        g = _LARGE_GRAPHS[name]()
-        per_component = name == "two-components"
-        n_comp = 2 if per_component else 1
-        deg = np.asarray(g.degrees)
-        s = 1.0 / np.sqrt(deg)
-        M = np.asarray(g.adjacency)
-        mu_ref, Y = scipy.linalg.eigh(np.eye(g.n_nodes) - s[:, None] * M * s,
-                                      subset_by_index=[0, n_comp + 10])
-        npt.assert_allclose(mu_ref[:n_comp], 0.0, atol=1e-12)
-        mu_ref, X_ref = mu_ref[n_comp:], s[:, None] * Y[:, n_comp:]
+        # A disconnected graph is checked part by part, as it is solved.
+        refs = []
+        for _, g in component_subgraphs(_LARGE_GRAPHS[name]()):
+            deg = np.asarray(g.degrees)
+            s = 1.0 / np.sqrt(deg)
+            M = np.asarray(g.adjacency)
+            mu_ref, Y = scipy.linalg.eigh(np.eye(g.n_nodes) - s[:, None] * M * s,
+                                          subset_by_index=[0, 11])
+            npt.assert_allclose(mu_ref[0], 0.0, atol=1e-12)
+            refs.append((g, deg, mu_ref[1:], s[:, None] * Y[:, 1:]))
         real_eigsh = triptych.graph.eigsh
         sparse_calls = []
 
@@ -557,18 +556,19 @@ class TestSparseSpectrum:
         monkeypatch.setattr(triptych.graph, "eigsh", counting_eigsh)
         for k in (3, 5, 10):
             sparse_calls.clear()
-            sp = spectrum(g, k=k, per_component=per_component)
+            for g, deg, mu_ref, X_ref in refs:
+                sp = spectrum(g, k=k)
+                npt.assert_allclose(sp.eigenvalues, mu_ref[:k], rtol=0, atol=1e-12)
+                V = sp.vectors
+                npt.assert_allclose(V.T @ (deg[:, None] * V), np.eye(k), rtol=0, atol=1e-12)
+                gaps = np.diff(np.r_[0.0, mu_ref[:k + 1]])
+                for j in np.flatnonzero(np.minimum(gaps[:k], gaps[1:]) > 1e-6):
+                    sign = np.sign(V[:, j] @ (deg * X_ref[:, j]))
+                    npt.assert_allclose(V[:, j], sign * X_ref[:, j], rtol=0, atol=1e-10)
+                again = spectrum(g, k=k)
+                npt.assert_array_equal(again.eigenvalues, sp.eigenvalues)
+                npt.assert_array_equal(again.vectors, sp.vectors)
             assert sparse_calls, f"k={k} did not reach the sparse solver"
-            npt.assert_allclose(sp.eigenvalues, mu_ref[:k], rtol=0, atol=1e-12)
-            V = sp.vectors
-            npt.assert_allclose(V.T @ (deg[:, None] * V), np.eye(k), rtol=0, atol=1e-12)
-            gaps = np.diff(np.r_[0.0, mu_ref[:k + 1]])
-            for j in np.flatnonzero(np.minimum(gaps[:k], gaps[1:]) > 1e-6):
-                sign = np.sign(V[:, j] @ (deg * X_ref[:, j]))
-                npt.assert_allclose(V[:, j], sign * X_ref[:, j], rtol=0, atol=1e-10)
-            again = spectrum(g, k=k, per_component=per_component)
-            npt.assert_array_equal(again.eigenvalues, sp.eigenvalues)
-            npt.assert_array_equal(again.vectors, sp.vectors)
 
 
 class TestAdjacencyCorrespondence:

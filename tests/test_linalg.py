@@ -157,6 +157,16 @@ class TestDecompose:
             decompose(make_triple(X * 1e155, np.eye(3), w / w.sum()))
         assert decompose(make_triple(X * 1e150, np.eye(3), w / w.sum())).rank == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_inertia_is_an_error(self):
+        # each eigenvalue fits in a float, their sum does not
+        rng = np.random.default_rng(36)
+        Q, _ = np.linalg.qr(rng.standard_normal((50, 3)))
+        with pytest.raises(ValueError, match="total inertia overflows"):
+            decompose(make_triple(Q * 1.3e154, np.eye(3), np.ones(50)))
+        d = decompose(make_triple(Q * 5e153, np.eye(3), np.ones(50)))
+        npt.assert_allclose(d.inertia, 7.5e307, rtol=1e-12)
+
     def test_rank_one_example(self):
         X = np.array([[1.0, -1.0], [-1.0, 1.0]])
         t = make_triple(X, np.eye(2), np.eye(2) / 2)

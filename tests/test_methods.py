@@ -221,6 +221,15 @@ class TestChiSquare:
             npt.assert_allclose(stat, ref.statistic, rtol=1e-12)
             assert dof == ref.dof
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_counts_stay_finite(self):
+        # expected counts of 1e200 would overflow as a product of margins
+        assert chi_square(ContingencyTable(np.full((2, 2), 1e200))) == (0.0, 1)
+        counts = np.array([[1.0, 2.0], [3.0, 4.0]])
+        stat, _ = chi_square(ContingencyTable(counts * 1e200))
+        npt.assert_allclose(stat, 1e200 * chi_square(ContingencyTable(counts))[0],
+                            rtol=1e-12)
+
 
 class TestCa:
     def test_exact_independence(self):
@@ -761,17 +770,20 @@ _UNIT_FREE = {
     "cca": lambda X, Y, w: cca(X[:, :3], X[:, 3:], weights=w)
     .extras["canonical_correlations"],
     "pcaiv": lambda X, Y, w: pcaiv(X, Y, weights=w).decomposition.eigenvalues,
+    "pca": lambda X, Y, w: pca(X, standardize=True, weights=w).decomposition.eigenvalues,
 }
 
 
 @pytest.mark.parametrize(
     "method,c",
     [(m, c) for m in ("lda", "cca") for c in (1e-160, 1e-7, 1e7, 1e160)]
-    + [("pcaiv", c) for c in (1e-150, 1e-7, 1e7, 1e150)],
+    + [("pcaiv", c) for c in (1e-150, 1e-7, 1e7, 1e150)]
+    + [("pca", c) for c in (1e-150, 1e-13, 1e13, 1e150)],
 )
 def test_unit_free_results_ignore_data_scale(method, c):
-    """lda ratios, cca correlations and pcaiv eigenvalues of (X * c, Y)
-    equal those of (X, Y) across the double range."""
+    """lda ratios, cca correlations, pcaiv eigenvalues and standardized
+    pca eigenvalues of (X * c, Y) equal those of (X, Y) across the double
+    range."""
     rng = np.random.default_rng(9)
     X = rng.standard_normal((60, 5)) @ (np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
     Y = X[:, :2] @ rng.standard_normal((2, 3)) + rng.standard_normal((60, 3))
