@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
+from itertools import compress
 
 import numpy as np
 
@@ -181,7 +183,7 @@ def _emit(args, result: MethodResult, inputs: list[str],
 
 
 def _cmd_pca(args) -> int:
-    ds = read_table(args.table, "measurements", args.delimiter)
+    ds = read_table(args.table, args.delimiter)
     w = read_weights(args.weights) if args.weights else None
     result = pca(ds.matrix, standardize=args.standardize, weights=w,
                  col_labels=ds.col_labels)
@@ -189,8 +191,20 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_ca(args) -> int:
-    ds = read_table(args.table, "contingency", args.delimiter)
-    tbl = ContingencyTable(ds.matrix, ds.row_labels, ds.col_labels)
+    ds = read_table(args.table, args.delimiter)
+    counts, rows, cols = ds.matrix, ds.row_labels, ds.col_labels
+    # A row like [-1, 1] is not empty: it is kept, and rejected as negative.
+    keep_r = np.any(counts != 0, axis=1)
+    keep_c = np.any(counts != 0, axis=0)
+    dropped = [*compress(rows, ~keep_r), *compress(cols, ~keep_c)]
+    if dropped:
+        print(f"WARNING: {args.table}: dropping all-zero rows/columns: {dropped}",
+              file=sys.stderr)
+        # Column indexing can change the memory layout, and with it the
+        # last bits of the analysis, so a full table is passed as parsed.
+        counts = counts[keep_r][:, keep_c]
+        rows, cols = list(compress(rows, keep_r)), list(compress(cols, keep_c))
+    tbl = ContingencyTable(counts, rows, cols)
     result = ca(tbl)
     extra = {
         "chi_square": format(result.extras["chi_square"], ".17g"),
@@ -200,8 +214,8 @@ def _cmd_ca(args) -> int:
 
 
 def _cmd_lda(args) -> int:
-    ds = read_table(args.table, "measurements", args.delimiter)
-    gds = read_table(args.groups, "groups", args.delimiter)
+    ds = read_table(args.table, args.delimiter)
+    gds = read_table(args.groups, args.delimiter)
     coding = GroupCoding(_align_rows(gds, ds.row_labels, args.groups),
                          group_labels=gds.col_labels)
     w = read_weights(args.weights) if args.weights else None
@@ -211,8 +225,8 @@ def _cmd_lda(args) -> int:
 
 
 def _cmd_pcaiv(args) -> int:
-    xds = read_table(args.table, "measurements", args.delimiter)
-    yds = read_table(args.response, "measurements", args.delimiter)
+    xds = read_table(args.table, args.delimiter)
+    yds = read_table(args.response, args.delimiter)
     Y = _align_rows(yds, xds.row_labels, args.response)
     w = read_weights(args.weights) if args.weights else None
     result = pcaiv(xds.matrix, Y, weights=w, q=args.axes)
@@ -221,8 +235,8 @@ def _cmd_pcaiv(args) -> int:
 
 
 def _cmd_cca(args) -> int:
-    ds1 = read_table(args.table, "measurements", args.delimiter)
-    ds2 = read_table(args.second, "measurements", args.delimiter)
+    ds1 = read_table(args.table, args.delimiter)
+    ds2 = read_table(args.second, args.delimiter)
     X2 = _align_rows(ds2, ds1.row_labels, args.second)
     w = read_weights(args.weights) if args.weights else None
     result = cca(ds1.matrix, X2, weights=w)
@@ -238,7 +252,7 @@ def _cmd_cca(args) -> int:
 
 def _cmd_geary(args) -> int:
     g = read_edges(args.edges, args.delimiter)
-    ds = read_table(args.table, "measurements", args.delimiter)
+    ds = read_table(args.table, args.delimiter)
     X = _align_rows(ds, g.node_labels, args.table)
     loc = local_variance(g, X)
     var = np.mean((X - np.mean(X, axis=0)) ** 2, axis=0)
@@ -271,12 +285,15 @@ def _cmd_layout(args) -> int:
         return 0
     coords = np.zeros((g.n_nodes, 2))
     for idx, sub in parts:
+        where = f"component of node '{sub.node_labels[0]}'"
         try:
-            coords[idx] = layout(sub)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                coords[idx] = layout(sub)
         except ValueError as exc:
-            raise ValueError(
-                f"component of node '{sub.node_labels[0]}': {exc}"
-            ) from None
+            raise ValueError(f"{where}: {exc}") from None
+        for w in caught:
+            print(f"WARNING: {where}: {w.message}", file=sys.stderr)
     stem = args.out or os.path.splitext(args.edges)[0]
     write_coordinates(f"{stem}_rows.tsv", g.node_labels, coords,
                       axis_names=["axis_1", "axis_2"])
@@ -297,7 +314,7 @@ def _cmd_layout(args) -> int:
 
 def _cmd_graph_regress(args) -> int:
     g = read_edges(args.edges, args.delimiter)
-    ds = read_table(args.table, "measurements", args.delimiter)
+    ds = read_table(args.table, args.delimiter)
     X = _align_rows(ds, g.node_labels, args.table)
     result = regress_on_covariates(g, X, k=args.k, q=args.axes)
     share = result.extras["explained_share"]

@@ -33,7 +33,7 @@ ARPACK stops short: on paths and cycles the smallest mu crowd together as
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -306,11 +306,14 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
     Raises
     ------
     ValueError
-        A single node (degenerate weight matrix); a disconnected graph
-        (the eigenproblem splits over components: solve each
-        :func:`component_subgraphs` part instead); k outside [1, n - 1].
+        No nodes, or a single node (degenerate weight matrix); a
+        disconnected graph (the eigenproblem splits over components: solve
+        each :func:`component_subgraphs` part instead); k outside
+        [1, n - 1].
     """
     n = g.n_nodes
+    if n == 0:
+        raise ValueError("graph has no nodes")
     if n < 2:
         raise ValueError(
             f"node '{g.node_labels[0]}' is isolated; "
@@ -422,11 +425,4 @@ def regress_on_covariates(g: Graph, X, k: int, q: int | None = None) -> MethodRe
     extras = dict(res.extras)
     extras["graph_eigenvalues"] = sp.eigenvalues
     extras["explained_share"] = share
-    return MethodResult(
-        method="graph_regress",
-        decomposition=res.decomposition,
-        scree=res.scree,
-        row_coords=res.row_coords,
-        col_coords=res.col_coords,
-        extras=extras,
-    )
+    return replace(res, method="graph_regress", extras=extras)

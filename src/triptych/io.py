@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +31,17 @@ __all__ = [
     "write_manifest",
 ]
 
-KINDS = ("measurements", "contingency", "groups", "edges")
-
 # Header pairs recognized at the top of an edge list.
 _EDGE_HEADERS = {("source", "target"), ("from", "to"), ("node1", "node2")}
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A labeled numeric table plus the kind of data it claims to hold."""
+    """A labeled numeric table."""
 
     matrix: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    kind: str
 
 
 def _sniff_delimiter(line: str, forced: str | None) -> str:
@@ -73,84 +69,53 @@ def _read_rows(path: str, delimiter: str | None) -> list[list[str]]:
     return rows
 
 
-def read_table(path: str, kind: str, delimiter: str | None = None) -> Dataset:
-    """Parse a labeled numeric table.
+def read_table(path: str, delimiter: str | None = None) -> Dataset:
+    """Parse a labeled table of finite numbers, and nothing else.
 
     The first row holds column labels (its first cell, the corner, is
-    ignored); the first column holds row labels.  Cells that fail float
-    parsing are reported with their row and column label.
-
-    ``kind`` selects validation: "measurements" accepts any finite
-    numbers, "contingency" requires nonnegative entries and drops
-    all-zero rows and columns with a warning, "groups" requires 0/1
-    entries.  Edge lists have their own reader, :func:`read_edges`.
+    ignored); the first column holds row labels.  A ragged row, a
+    non-numeric cell and a non-finite cell are reported with their row
+    and column label.  Negative counts and empty margins are rejected by
+    :class:`~triptych.methods.ContingencyTable`, codings that are not
+    0/1 by :class:`~triptych.methods.GroupCoding`.  Edge lists have
+    their own reader, :func:`read_edges`.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if kind == "edges":
-        raise ValueError("use read_edges for edge lists")
     rows = _read_rows(path, delimiter)
     header = rows[0]
     if len(header) < 2:
         raise ValueError(f"{path}: need at least one data column after the label column")
     col_labels = _check_labels([c.strip() for c in header[1:]], len(header) - 1,
                                "column", "c", path)
-    if len(rows) < 2:
+    body = rows[1:]
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    row_labels: list[str] = []
-    data = np.empty((len(rows) - 1, len(col_labels)))
-    for i, row in enumerate(rows[1:]):
-        label = row[0].strip()
-        row_labels.append(label)
+    row_labels = [row[0].strip() for row in body]
+    for label, row in zip(row_labels, body):
         if len(row) - 1 != len(col_labels):
             raise ValueError(
                 f"{path}: row '{label}' has {len(row) - 1} cells, expected {len(col_labels)}"
             )
-        for j, cell in enumerate(row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: cell at row '{label}', column '{col_labels[j]}' "
-                    f"is not numeric: {cell.strip()!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{path}: cell at row '{label}', column '{col_labels[j]}' "
-                    f"is not finite"
-                )
-            data[i, j] = value
+    try:
+        data = np.array([row[1:] for row in body], dtype=float)
+    except ValueError:
+        # Parse cell by cell only to name the one that failed.
+        for label, row in zip(row_labels, body):
+            for col, cell in zip(col_labels, row[1:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: cell at row '{label}', column '{col}' "
+                        f"is not numeric: {cell.strip()!r}"
+                    ) from None
+        raise
+    for i, j in np.argwhere(~np.isfinite(data)):
+        raise ValueError(
+            f"{path}: cell at row '{row_labels[i]}', column '{col_labels[j]}' "
+            f"is not finite"
+        )
     row_tuple = _check_labels(row_labels, len(row_labels), "row", "r", path)
-    if kind == "contingency":
-        neg = np.argwhere(data < 0)
-        if neg.size:
-            i, j = neg[0]
-            raise ValueError(
-                f"{path}: negative count at row '{row_tuple[i]}', "
-                f"column '{col_labels[j]}'"
-            )
-        keep_r = data.sum(axis=1) > 0
-        keep_c = data.sum(axis=0) > 0
-        if not (keep_r.all() and keep_c.all()):
-            dropped = [row_tuple[i] for i in np.flatnonzero(~keep_r)]
-            dropped += [col_labels[j] for j in np.flatnonzero(~keep_c)]
-            warnings.warn(
-                f"{path}: dropping all-zero rows/columns: {dropped}", stacklevel=2
-            )
-            data = data[keep_r][:, keep_c]
-            row_tuple = tuple(lab for lab, k in zip(row_tuple, keep_r) if k)
-            col_labels = tuple(lab for lab, k in zip(col_labels, keep_c) if k)
-        if data.size == 0 or data.sum() == 0:
-            raise ValueError(f"{path}: table has no positive counts")
-    elif kind == "groups":
-        bad = np.argwhere(~np.isin(data, (0.0, 1.0)))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"{path}: group coding must be 0/1; offending cell at row "
-                f"'{row_tuple[i]}', column '{col_labels[j]}'"
-            )
-    return Dataset(matrix=data, row_labels=row_tuple, col_labels=col_labels, kind=kind)
+    return Dataset(matrix=data, row_labels=row_tuple, col_labels=col_labels)
 
 
 def read_edges(path: str, delimiter: str | None = None) -> Graph:

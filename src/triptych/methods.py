@@ -68,10 +68,10 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
 class ContingencyTable:
     """Nonnegative count matrix with row and column labels.
 
-    Rejects zero marginals outright: correspondence analysis needs every
-    row and column to carry mass.  File ingestion (:func:`triptych.io.
-    read_table` with kind ``"contingency"``) drops empty rows and columns
-    with a warning before this constructor runs.
+    Rejects negative counts and zero marginals outright: correspondence
+    analysis needs every row and column to carry mass.  The ``triptych
+    ca`` command, not :func:`triptych.io.read_table`, drops all-zero rows
+    and columns with a warning before this constructor runs.
     """
 
     def __init__(self, counts, row_labels=None, col_labels=None):
@@ -79,11 +79,13 @@ class ContingencyTable:
         m, p = counts.shape
         if m == 0 or p == 0:
             raise ValueError("contingency table must have at least one row and column")
-        if np.any(counts < 0):
-            i, j = np.argwhere(counts < 0)[0]
-            raise ValueError(f"counts must be nonnegative (entry ({i}, {j}) is negative)")
         self.row_labels = _check_labels(row_labels, m, "row", "r")
         self.col_labels = _check_labels(col_labels, p, "column", "c")
+        for i, j in np.argwhere(counts < 0):
+            raise ValueError(
+                f"counts must be nonnegative (row '{self.row_labels[i]}', "
+                f"column '{self.col_labels[j]}' is negative)"
+            )
         with np.errstate(over="ignore"):
             total = float(counts.sum())
         if total == np.inf:
@@ -125,16 +127,18 @@ class GroupCoding:
     def __init__(self, indicator, group_labels=None):
         Y = _as_float_matrix(indicator, "indicator")
         n, g = Y.shape
-        if not np.all(np.isin(Y, (0.0, 1.0))):
-            i, j = np.argwhere(~np.isin(Y, (0.0, 1.0)))[0]
-            raise ValueError(f"indicator entries must be 0 or 1 (entry ({i}, {j}) is not)")
+        self.group_labels = _check_labels(group_labels, g, "group", "g")
+        for i, j in np.argwhere(~np.isin(Y, (0.0, 1.0))):
+            raise ValueError(
+                f"indicator entries must be 0 or 1 (entry ({i}, {j}) of group "
+                f"'{self.group_labels[j]}' is not)"
+            )
         bad_rows = np.flatnonzero(Y.sum(axis=1) != 1)
         if bad_rows.size:
             raise ValueError(
                 f"each row must have exactly one 1 (row {int(bad_rows[0])} does not)"
             )
         empty = np.flatnonzero(Y.sum(axis=0) == 0)
-        self.group_labels = _check_labels(group_labels, g, "group", "g")
         if empty.size:
             raise ValueError(f"group '{self.group_labels[int(empty[0])]}' has no members")
         self.indicator = _frozen(Y)
@@ -144,15 +148,11 @@ class GroupCoding:
         """Build a coding from a sequence of group labels, in order of
         first appearance."""
         labels = [str(x) for x in labels]
-        seen: list[str] = []
-        for lab in labels:
-            if lab not in seen:
-                seen.append(lab)
-        index = {lab: k for k, lab in enumerate(seen)}
-        Y = np.zeros((len(labels), len(seen)))
+        index = {lab: k for k, lab in enumerate(dict.fromkeys(labels))}
+        Y = np.zeros((len(labels), len(index)))
         for i, lab in enumerate(labels):
             Y[i, index[lab]] = 1.0
-        return cls(Y, group_labels=seen)
+        return cls(Y, group_labels=list(index))
 
     @property
     def n_groups(self) -> int:

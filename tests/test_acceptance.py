@@ -353,7 +353,7 @@ def criterion_7():
     path = _benchmark_table_path()
     if path is None:
         return None, "benchmark table not supplied (set PLATO_TABLE_PATH)"
-    ds = read_table(path, "contingency")
+    ds = read_table(path)
     M, row_labels = ds.matrix, list(ds.row_labels)
     if M.shape == (7, 32):
         M, row_labels = M.T, list(ds.col_labels)

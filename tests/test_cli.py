@@ -21,7 +21,7 @@ from triptych import (
 )
 from triptych.cli import run_command
 
-from graph_helpers import ring_with_chords, write_edges
+from graph_helpers import ring_edges, ring_with_chords, write_edges
 
 
 @pytest.fixture
@@ -198,6 +198,44 @@ class TestCa:
         assert labels == ["u", "v", "w"]
         npt.assert_allclose(coords, ref.col_coords[:, :2], atol=1e-12)
 
+    def test_negative_count_named(self, tmp_path, capsys):
+        table = tmp_path / "counts.csv"
+        table.write_text("id,a,b\nr1,1,-2\nr2,3,4\n")
+        assert run_command(["ca", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert "nonnegative" in err
+        assert "row 'r1', column 'b'" in err
+        # a row whose entries cancel is not empty: it is rejected, not dropped
+        table.write_text("id,a,b\nr1,-1,1\nr2,3,4\n")
+        assert run_command(["ca", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert "row 'r1', column 'a'" in err
+        assert "WARNING" not in err
+
+    def test_zero_rows_and_columns_dropped(self, tmp_path, capsys):
+        table = tmp_path / "counts.csv"
+        table.write_text("id,a,b,c\nr1,1,0,2\nr2,0,0,0\nr3,3,0,4\n")
+        assert run_command(["ca", str(table), "--axes", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err == f"WARNING: {table}: dropping all-zero rows/columns: ['r2', 'b']\n"
+        ref = ca(ContingencyTable([[1.0, 2.0], [3.0, 4.0]]))
+        labels, coords = read_tsv_matrix(tmp_path / "counts_rows.tsv")
+        assert labels == ["r1", "r3"]
+        npt.assert_allclose(coords, ref.row_coords[:, :1], atol=1e-12)
+        labels, coords = read_tsv_matrix(tmp_path / "counts_cols.tsv")
+        assert labels == ["a", "c"]
+        npt.assert_allclose(coords, ref.col_coords[:, :1], atol=1e-12)
+        manifest = (tmp_path / "counts_manifest.txt").read_text()
+        assert "rows: 2\ncolumns: 2\n" in manifest
+
+    def test_all_zero_table(self, tmp_path, capsys):
+        table = tmp_path / "counts.csv"
+        table.write_text("id,a,b\nr1,0,0\nr2,0,0\n")
+        assert run_command(["ca", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert "dropping all-zero rows/columns: ['r1', 'r2', 'a', 'b']" in err
+        assert "error: contingency table must have at least one row and column" in err
+
 
 class TestLda:
     def _write(self, tmp_path, shuffle_groups=False):
@@ -237,6 +275,14 @@ class TestLda:
         groups.write_text("id,g1,g2\no1,1,0\no2,1,0\n")
         assert run_command(["lda", str(table), str(groups)]) == 1
         assert "missing rows" in capsys.readouterr().err
+
+    def test_groups_must_be_binary(self, tmp_path, capsys):
+        table, groups = self._write(tmp_path)
+        groups.write_text(groups.read_text().replace("o5,0,1", "o5,0,2"))
+        assert run_command(["lda", str(table), str(groups)]) == 1
+        err = capsys.readouterr().err
+        assert "0 or 1" in err
+        assert "group 'g2'" in err
 
 
 class TestPcaiv:
@@ -405,7 +451,6 @@ class TestGraphCommands:
         # each triangle contributes mu = 1.5 twice
         npt.assert_allclose(mu[:, 0], [1.5, 1.5, 1.5, 1.5], atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_layout_per_component_small_component(self, tmp_path, capsys):
         edges = tmp_path / "tripair.csv"
         edges.write_text("a,b\nb,c\na,c\nd,e\n")
@@ -432,6 +477,22 @@ class TestGraphCommands:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 300 * 9
         assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("edges, flags", [
+        (ring_edges(300), []),
+        (np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]), ["--per-component"]),
+    ], ids=["cycle-300", "two-triangles"])
+    def test_layout_warnings_are_plain_lines(self, tmp_path, edges, flags):
+        path = write_edges(tmp_path / "g.csv", edges)
+        proc = subprocess.run(
+            [sys.executable, "-m", "triptych.cli", "layout", str(path), "--axes", "2",
+             *flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "WARNING: component of node 'v0': layout eigenvalues are degenerate" in proc.stderr
+        assert "UserWarning" not in proc.stderr
+        assert ".py:" not in proc.stderr
 
     def test_layout_axes_checked_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

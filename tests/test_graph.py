@@ -458,6 +458,10 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="node 'lonely' is isolated"):
             spectrum(lonely)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has no nodes"):
+            spectrum(make_graph(np.zeros((0, 0))))
+
     def test_deterministic(self):
         rng = np.random.default_rng(72)
         g = random_connected(rng, 10)

@@ -22,92 +22,84 @@ def make_file(tmp_path, name, text):
 class TestReadTable:
     def test_comma_sniffed(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a,b\nr1,1,2\nr2,3.5,4\n")
-        ds = read_table(path, "measurements")
+        ds = read_table(path)
         npt.assert_array_equal(ds.matrix, [[1.0, 2.0], [3.5, 4.0]])
         assert ds.row_labels == ("r1", "r2")
         assert ds.col_labels == ("a", "b")
-        assert ds.kind == "measurements"
 
     def test_tab_sniffed(self, tmp_path):
         path = make_file(tmp_path, "t.tsv", "id\ta\tb\nr1\t1\t2\n")
-        ds = read_table(path, "measurements")
+        ds = read_table(path)
         npt.assert_array_equal(ds.matrix, [[1.0, 2.0]])
 
     def test_forced_delimiter(self, tmp_path):
         # commas inside a tab-separated file stay in the labels when forced
         path = make_file(tmp_path, "t.txt", "id\ta,x\tb\nr1\t1\t2\n")
-        ds = read_table(path, "measurements", delimiter="\t")
+        ds = read_table(path, delimiter="\t")
         assert ds.col_labels == ("a,x", "b")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a\n\nr1,1\n\n\nr2,2\n")
-        ds = read_table(path, "measurements")
+        ds = read_table(path)
         assert ds.row_labels == ("r1", "r2")
 
     def test_bad_cell_named(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a,b\nr1,1,2\nr2,oops,4\n")
         with pytest.raises(ValueError, match="row 'r2', column 'a'"):
-            read_table(path, "measurements")
+            read_table(path)
+        rows = "".join(f"r{i},{i},{-i}\n" for i in range(50))
+        path = make_file(tmp_path, "u.csv", "id,a,b\n" + rows + "r50,1,\n")
+        with pytest.raises(ValueError) as err:
+            read_table(path)
+        assert str(err.value) == f"{path}: cell at row 'r50', column 'b' is not numeric: ''"
 
     def test_nonfinite_cell_named(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a\nr1,inf\n")
         with pytest.raises(ValueError, match="not finite"):
-            read_table(path, "measurements")
+            read_table(path)
+        path = make_file(tmp_path, "u.csv", "id,a,b\nr1,1,2\nr2,3,1e400\nr3,nan,4\n")
+        with pytest.raises(ValueError) as err:
+            read_table(path)
+        assert str(err.value) == f"{path}: cell at row 'r2', column 'b' is not finite"
 
     def test_ragged_row(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a,b\nr1,1\n")
         with pytest.raises(ValueError, match="row 'r1' has 1 cells"):
-            read_table(path, "measurements")
+            read_table(path)
+        # Row lengths are checked before any cell is parsed.
+        path = make_file(tmp_path, "u.csv", "id,a,b\nr1,oops,2\nr2,3,4,5\n")
+        with pytest.raises(ValueError) as err:
+            read_table(path)
+        assert str(err.value) == f"{path}: row 'r2' has 3 cells, expected 2"
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [
+            [" 1.5 ", "1_0", "\u0661\u0662", "-1"],
+            ["-0", "+3", "\uff11\uff12", "1e-400"],
+            [".5", "5.", "4.9e-324", "1.7976931348623157e308"],
+            ["-1E3", " -0.0", "0.1", "123456789012345678901234567890"],
+        ]
+        text = "id,a,b,c,d\n" + "".join(
+            f"r{i}," + ",".join(row) + "\n" for i, row in enumerate(cells))
+        path = make_file(tmp_path, "t.csv", text)
+        matrix = read_table(path).matrix
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert matrix.tobytes() == expected.tobytes()
 
     def test_duplicate_labels(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a,a\nr1,1,2\n")
         with pytest.raises(ValueError, match="duplicate column") as err:
-            read_table(path, "measurements")
+            read_table(path)
         assert str(err.value) == f"{path}: duplicate column labels: ['a']"
         path2 = make_file(tmp_path, "u.csv", "id,a\nr1,1\nr1,2\n")
         with pytest.raises(ValueError, match="duplicate row") as err:
-            read_table(path2, "measurements")
+            read_table(path2)
         assert str(err.value) == f"{path2}: duplicate row labels: ['r1']"
 
     def test_empty_file(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "")
         with pytest.raises(ValueError, match="empty"):
-            read_table(path, "measurements")
-
-    def test_unknown_kind(self, tmp_path):
-        path = make_file(tmp_path, "t.csv", "id,a\nr1,1\n")
-        with pytest.raises(ValueError, match="unknown kind"):
-            read_table(path, "nope")
-        with pytest.raises(ValueError, match="read_edges"):
-            read_table(path, "edges")
-
-    def test_contingency_negative(self, tmp_path):
-        path = make_file(tmp_path, "t.csv", "id,a,b\nr1,1,-2\n")
-        with pytest.raises(ValueError, match="negative count"):
-            read_table(path, "contingency")
-
-    def test_contingency_drops_zero_margins(self, tmp_path):
-        path = make_file(
-            tmp_path, "t.csv",
-            "id,a,b,c\nr1,1,0,2\nr2,0,0,0\nr3,3,0,4\n",
-        )
-        with pytest.warns(UserWarning, match="r2") as rec:
-            ds = read_table(path, "contingency")
-        assert "b" in str(rec[0].message)
-        assert ds.row_labels == ("r1", "r3")
-        assert ds.col_labels == ("a", "c")
-        npt.assert_array_equal(ds.matrix, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_contingency_all_zero(self, tmp_path):
-        path = make_file(tmp_path, "t.csv", "id,a,b\nr1,0,0\nr2,0,0\n")
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError, match="no positive counts"):
-                read_table(path, "contingency")
-
-    def test_groups_must_be_binary(self, tmp_path):
-        path = make_file(tmp_path, "t.csv", "id,g1,g2\nr1,1,0\nr2,0,2\n")
-        with pytest.raises(ValueError, match="0/1"):
-            read_table(path, "groups")
+            read_table(path)
 
 
 class TestReadEdges:
