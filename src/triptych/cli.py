@@ -101,8 +101,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="must be 2 (planar); omit to print the eigenvalue spectrum")
     p.add_argument("--out", default=None, metavar="STEM")
     p.add_argument("--delimiter", default=None, metavar="C")
-    p.add_argument("--per-component", action="store_true", dest="per_component",
-                   help="lay out each connected component separately")
 
     p = sub.add_parser("graph-regress",
                        help="regress graph eigenvectors on node covariates")
@@ -200,8 +198,6 @@ def _cmd_ca(args) -> int:
     if dropped:
         print(f"WARNING: {args.table}: dropping all-zero rows/columns: {dropped}",
               file=sys.stderr)
-        # Column indexing can change the memory layout, and with it the
-        # last bits of the analysis, so a full table is passed as parsed.
         counts = counts[keep_r][:, keep_c]
         rows, cols = list(compress(rows, keep_r)), list(compress(cols, keep_c))
     tbl = ContingencyTable(counts, rows, cols)
@@ -274,10 +270,9 @@ def _spectrum_lines(mu) -> str:
 def _cmd_layout(args) -> int:
     g = read_edges(args.edges, args.delimiter)
     parts = component_subgraphs(g)
-    if len(parts) > 1 and not args.per_component:
-        raise ValueError(
-            f"graph is disconnected ({len(parts)} components); rerun with --per-component"
-        )
+    if len(parts) > 1:
+        print(f"WARNING: {args.edges}: graph has {len(parts)} components; "
+              "each is solved on its own", file=sys.stderr)
     # One component's eigenvectors at a time, each freed once its mu are read.
     mu = np.sort(np.concatenate([spectrum(sub).eigenvalues for _, sub in parts]))
     if args.axes is None:
@@ -306,7 +301,7 @@ def _cmd_layout(args) -> int:
         "nodes": g.n_nodes,
         "edges": g.n_edges,
         "axes": 2,
-        "per_component": args.per_component,
+        "components": len(parts),
     })
     print(f"wrote {stem}_rows.tsv, {stem}_scree.tsv, {stem}_manifest.txt")
     return 0

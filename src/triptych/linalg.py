@@ -69,7 +69,9 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def _as_float_matrix(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    # C order fixes the summation order, so results do not depend on the
+    # caller's memory layout.
+    M = np.asarray(M, dtype=float, order="C")
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):

@@ -261,8 +261,6 @@ def chi_square(tbl: ContingencyTable) -> tuple[float, int]:
     m, p = N.shape
     row_tot = N.sum(axis=1)
     col_tot = N.sum(axis=0)
-    if np.any(row_tot == 0) or np.any(col_tot == 0):
-        raise ValueError("chi_square requires positive marginals")
     # Dividing a margin by the total first keeps the expected counts finite.
     expected = np.outer(row_tot / tbl.total, col_tot)
     stat = float(np.sum(((N - expected) / np.sqrt(expected)) ** 2))
@@ -540,17 +538,18 @@ def cca(X1, X2, weights=None) -> MethodResult:
     rho = np.sqrt(cross.eigenvalues)
     coef1 = R1i @ (R1i.T @ cross.axis_basis)
     coef2 = R2i @ cross.component_basis
+    scores1 = X1c @ coef1
     return MethodResult(
         method="cca",
         decomposition=merged,
         scree=ScreeTable.from_eigenvalues(cross.eigenvalues),
-        row_coords=X1c @ coef1,
+        row_coords=scores1,
         col_coords=np.vstack([coef1, coef2]),
         extras={
             "canonical_correlations": rho,
             "coefficients_1": coef1,
             "coefficients_2": coef2,
-            "scores_1": X1c @ coef1,
+            "scores_1": scores1,
             "scores_2": X2c @ coef2,
             "cross_decomposition": cross,
         },

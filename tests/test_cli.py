@@ -425,7 +425,9 @@ class TestGraphCommands:
         npt.assert_allclose(coords, layout(g), atol=1e-12)
         scree_text = (tmp_path / "net_scree.tsv").read_text()
         assert scree_text.splitlines()[0] == "label\tmu"
-        assert "method: layout" in (tmp_path / "net_manifest.txt").read_text()
+        manifest = (tmp_path / "net_manifest.txt").read_text().splitlines()
+        assert "method: layout" in manifest
+        assert "components: 1" in manifest
 
     def test_layout_axes_must_be_two(self, path_edges, capsys):
         assert run_command(["layout", str(path_edges), "--axes", "3"]) == 2
@@ -435,11 +437,10 @@ class TestGraphCommands:
     def test_layout_disconnected(self, tmp_path, capsys):
         edges = tmp_path / "split.csv"
         edges.write_text("a,b\nb,c\na,c\nx,y\ny,z\nx,z\n")
-        assert run_command(["layout", str(edges), "--axes", "2"]) == 1
-        assert "--per-component" in capsys.readouterr().err
-        assert run_command(
-            ["layout", str(edges), "--axes", "2", "--per-component"]
-        ) == 0
+        assert run_command(["layout", str(edges), "--axes", "2"]) == 0
+        assert (f"WARNING: {edges}: graph has 2 components; each is solved on its own"
+                in capsys.readouterr().err.splitlines())
+        assert "components: 2" in (tmp_path / "split_manifest.txt").read_text().splitlines()
         labels, coords = read_tsv_matrix(tmp_path / "split_rows.tsv")
         g = read_edges(str(edges))
         assert labels == list(g.node_labels)
@@ -454,11 +455,11 @@ class TestGraphCommands:
     def test_layout_per_component_small_component(self, tmp_path, capsys):
         edges = tmp_path / "tripair.csv"
         edges.write_text("a,b\nb,c\na,c\nd,e\n")
-        assert run_command(["layout", str(edges), "--per-component"]) == 0
+        assert run_command(["layout", str(edges)]) == 0
         # triangle: mu = 1.5 twice; the 2-node component: mu = 2
         assert capsys.readouterr().out.splitlines() == [
             "axis\tmu", "1\t1.50000", "2\t1.50000", "3\t2.00000"]
-        assert run_command(["layout", str(edges), "--axes", "2", "--per-component"]) == 1
+        assert run_command(["layout", str(edges), "--axes", "2"]) == 1
         assert ("error: component of node 'd': layout needs at least 3 nodes"
                 in capsys.readouterr().err)
 
@@ -470,7 +471,7 @@ class TestGraphCommands:
         path = write_edges(tmp_path / "many.csv", edges)
         tracemalloc.start()
         try:
-            code = run_command(["layout", str(path), "--per-component"])
+            code = run_command(["layout", str(path)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -478,21 +479,24 @@ class TestGraphCommands:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 300 * 9
         assert peak < 16 * 2**20, f"peaked at {peak / 2**20:.1f} MB"
 
-    @pytest.mark.parametrize("edges, flags", [
-        (ring_edges(300), []),
-        (np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]), ["--per-component"]),
+    @pytest.mark.parametrize("edges", [
+        ring_edges(300),
+        np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
     ], ids=["cycle-300", "two-triangles"])
-    def test_layout_warnings_are_plain_lines(self, tmp_path, edges, flags):
+    def test_layout_warnings_are_plain_lines(self, tmp_path, edges):
         path = write_edges(tmp_path / "g.csv", edges)
         proc = subprocess.run(
-            [sys.executable, "-m", "triptych.cli", "layout", str(path), "--axes", "2",
-             *flags],
+            [sys.executable, "-m", "triptych.cli", "layout", str(path), "--axes", "2"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "WARNING: component of node 'v0': layout eigenvalues are degenerate" in proc.stderr
         assert "UserWarning" not in proc.stderr
         assert ".py:" not in proc.stderr
+
+    def test_layout_per_component_flag_removed(self, path_edges, capsys):
+        assert run_command(["layout", str(path_edges), "--per-component"]) == 2
+        assert "--per-component" in capsys.readouterr().err
 
     def test_layout_axes_checked_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -371,6 +371,31 @@ def test_weight_that_rounds_to_zero_rejected(method):
         run()
 
 
+_LAYOUT_CASES = {
+    "ca": lambda X, Y, N: ca(ContingencyTable(N)),
+    "pca": lambda X, Y, N: pca(X),
+    "pca-standardized": lambda X, Y, N: pca(X, standardize=True),
+    "lda": lambda X, Y, N: lda(X, [f"g{i % 3}" for i in range(X.shape[0])]),
+    "pcaiv": lambda X, Y, N: pcaiv(X, Y),
+    "cca": lambda X, Y, N: cca(X, Y),
+}
+
+
+@pytest.mark.parametrize("method", list(_LAYOUT_CASES))
+def test_results_ignore_memory_layout(method):
+    """A Fortran-ordered copy of the input gives the same bits."""
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((150, 12)) * rng.uniform(0.1, 10, 12) + 3.0
+    Y = X[:, :4] @ rng.standard_normal((4, 5)) + rng.standard_normal((150, 5))
+    N = rng.integers(0, 30, (150, 100)) + 1
+    run = _LAYOUT_CASES[method]
+    res = run(X, Y, N)
+    alt = run(np.asfortranarray(X), np.asfortranarray(Y), np.asfortranarray(N))
+    assert np.array_equal(alt.decomposition.eigenvalues, res.decomposition.eigenvalues)
+    assert np.array_equal(alt.row_coords, res.row_coords)
+    assert np.array_equal(alt.col_coords, res.col_coords)
+
+
 class TestLda:
     def test_equal_group_means_rank_zero(self):
         # two groups sharing the global mean: nothing to discriminate
