@@ -27,22 +27,29 @@ runs ARPACK's Lanczos iteration on the sparse S M S, stopped once its
 work reaches about that of a dense solve.  Any other request, such as
 the full spectrum, runs a dense ``eigh``, which is also the fallback when
 ARPACK stops short: on paths and cycles the smallest mu crowd together as
-1/n^2 and Lanczos needs more work than the dense solve.
+1/n^2 and Lanczos needs more work than the dense solve.  The scree of
+``triptych layout`` needs every mu but no eigenvector, so it runs the
+same dense ``eigh`` with ``eigvals_only=True``: no n x (n - 1) vector
+matrix is formed.
+
+scipy is imported inside the functions that use it, so the table
+analyses, which import this module through the package, run on numpy
+alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array, issparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .linalg import _orient_columns, _tie_flags
 from .methods import MethodResult, _check_labels, pcaiv
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "Graph",
@@ -102,6 +109,8 @@ class Graph:
         """Sparse adjacency, a new array object on each access over the
         graph's read-only arrays: inserting entries into it builds new
         arrays for that object only and cannot change the graph."""
+        from scipy.sparse import csr_array
+
         A = self._csr
         return csr_array((A.data, A.indices, A.indptr), shape=A.shape, copy=False)
 
@@ -123,6 +132,8 @@ def make_graph(adjacency, node_labels=None) -> Graph:
     0/1, symmetric, no self loops.  Duplicate sparse entries are summed
     first, and each error names the first offending entry in row-major
     order."""
+    from scipy.sparse import csr_array, issparse
+
     sparse = issparse(adjacency)
     M = adjacency if sparse else np.asarray(adjacency, dtype=float)
     if M.ndim != 2:
@@ -175,6 +186,8 @@ def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """Connected components as (node index array, subgraph) pairs,
     ordered by smallest node index.  A connected graph is returned as
     itself, ``[(np.arange(n), g)]``."""
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(g.csr, directed=False)
     if n_comp == 1:
         return [(np.arange(g.n_nodes), g)]
@@ -311,14 +324,10 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
         each :func:`component_subgraphs` part instead); k outside
         [1, n - 1].
     """
+    from scipy.sparse.csgraph import connected_components
+
+    _check_nodes(g)
     n = g.n_nodes
-    if n == 0:
-        raise ValueError("graph has no nodes")
-    if n < 2:
-        raise ValueError(
-            f"node '{g.node_labels[0]}' is isolated; "
-            "the degree weighting is degenerate there"
-        )
     n_comp = connected_components(g.csr, directed=False, return_labels=False)
     if n_comp > 1:
         raise ValueError(
@@ -332,21 +341,62 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
             f"k must be in [1, {n - 1}] (the graph has {n - 1} nontrivial eigenpairs)"
         )
     mu, X = _smallest_pairs(g, k)
-    # The graph is connected, so exactly one trivial pair leads.
-    if mu[0] > 1e-8:
-        raise np.linalg.LinAlgError(
-            f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
-        )
-    eigenvalues, vectors = mu[1:], np.ascontiguousarray(X[:, 1:])
+    eigenvalues, vectors = _nontrivial(mu), np.ascontiguousarray(X[:, 1:])
     _orient_columns(vectors)
     for out in (eigenvalues, vectors):
         out.setflags(write=False)
     return GraphSpectrum(eigenvalues=eigenvalues, vectors=vectors)
 
 
+def _check_nodes(g: Graph) -> None:
+    """Raise :func:`spectrum`'s error for a graph of fewer than two nodes."""
+    if g.n_nodes == 0:
+        raise ValueError("graph has no nodes")
+    if g.n_nodes < 2:
+        raise ValueError(
+            f"node '{g.node_labels[0]}' is isolated; "
+            "the degree weighting is degenerate there"
+        )
+
+
+def _nontrivial(mu: np.ndarray) -> np.ndarray:
+    """Ascending mu of a connected graph without the leading trivial one."""
+    # The graph is connected, so exactly one trivial pair leads.
+    if mu[0] > 1e-8:
+        raise np.linalg.LinAlgError(
+            f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
+        )
+    return mu[1:]
+
+
+def _dense_operator(g: Graph, s: np.ndarray) -> np.ndarray:
+    """I - S M S as a dense column-major array, with S = diag(s)."""
+    B = g.csr.toarray(order="F")
+    B *= s[:, None]
+    B *= s
+    np.negative(B, out=B)
+    # M has no loops, so this diagonal is zero before the identity is added.
+    np.fill_diagonal(B, 1.0)
+    return B
+
+
+def _nontrivial_mu(g: Graph) -> np.ndarray:
+    """All n - 1 nontrivial mu of a connected graph, ascending, from one
+    dense solve that computes no eigenvectors (the scree of a layout)."""
+    from scipy.linalg import eigh
+
+    _check_nodes(g)
+    B = _dense_operator(g, 1.0 / np.sqrt(g.degrees))
+    return _nontrivial(eigh(B, overwrite_a=True, eigvals_only=True))
+
+
 def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m + 1 smallest eigenpairs (mu, x) of a connected graph, mu
     ascending, x orthonormal in the degree metric."""
+    from scipy.linalg import eigh
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = g.n_nodes
     s = 1.0 / np.sqrt(g.degrees)
     mu = None
@@ -366,13 +416,7 @@ def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
         except ArpackNoConvergence:
             pass
     if mu is None:
-        B = A.toarray(order="F")
-        B *= s[:, None]
-        B *= s
-        np.negative(B, out=B)
-        # M has no loops, so this diagonal is zero before the identity is added.
-        np.fill_diagonal(B, 1.0)
-        mu, Y = eigh(B, overwrite_a=True, subset_by_index=[0, m])
+        mu, Y = eigh(_dense_operator(g, s), overwrite_a=True, subset_by_index=[0, m])
     Y *= s[:, None]
     return mu, Y
 

@@ -16,7 +16,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .graph import Graph, make_graph
 from .methods import _check_labels
@@ -126,6 +125,8 @@ def read_edges(path: str, delimiter: str | None = None) -> Graph:
     one; a self loop is an error.  Nodes are numbered in order of first
     appearance.
     """
+    from scipy.sparse import csr_array
+
     rows = _read_rows(path, delimiter)
     if rows and tuple(c.strip().lower() for c in rows[0][:2]) in _EDGE_HEADERS:
         rows = rows[1:]

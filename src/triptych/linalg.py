@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svd
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -116,6 +114,9 @@ def _weight_vector(D, n: int, name: str) -> np.ndarray:
 def _cholesky_upper(M: np.ndarray, name: str) -> np.ndarray:
     """Upper-triangular factor ``R`` with ``R.T @ R = M``, through LAPACK
     so the failing pivot can be reported."""
+    # imported here: no table method factors by Cholesky, so they run on numpy alone
+    from scipy.linalg.lapack import dpotrf
+
     factor, info = dpotrf(M, lower=0, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(name, int(info) - 1)
@@ -310,8 +311,14 @@ def _decompose_factored(
                 f"rank_request {rank_request} exceeds min(n, p) = {min(n, p)}"
             )
     k = np.sqrt(w)[:, None]
-    KX = k * X
-    U, s, _ = svd(KX * G if G.ndim == 1 else KX @ G.T, full_matrices=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        KX = k * X
+        B = KX * G if G.ndim == 1 else KX @ G.T
+    if not np.all(np.isfinite(B)):
+        raise ValueError(
+            "the weighted data times the metric factor overflows; rescale the data"
+        )
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
     if s.size and s[0] > np.sqrt(np.finfo(float).max):
         raise ValueError(
             f"the leading eigenvalue overflows (singular value {s[0]:.3e}); rescale the data"
@@ -374,7 +381,8 @@ def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
     Raises
     ------
     ValueError
-        If ``rank_request`` is negative or exceeds ``min(n, p)``.
+        If ``rank_request`` is negative or exceeds ``min(n, p)``, or if the
+        weighted data, the leading eigenvalue or the inertia overflows.
     numpy.linalg.LinAlgError
         If the singular value decomposition fails to converge.
     """

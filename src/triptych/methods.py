@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from numpy.linalg.lapack_lite import dgeqrf
 
 from .linalg import (
     Decomposition,
@@ -317,11 +316,18 @@ def _weighted_qr(X: np.ndarray, w: np.ndarray, name: str, other=None,
         raise ValueError(f"{name} is singular ({p} columns, {n} rows); {hint}")
     mean = w @ X
     Xc = X - mean
+    k = p + (0 if other is None else other.shape[1])
     # LAPACK factors a column-major copy in place, with no Q formed
-    joint = np.empty((n, p + (0 if other is None else other.shape[1])), order="F")
+    joint = np.empty((n, k), order="F")
     np.concatenate([Xc] if other is None else [Xc, other], axis=1, out=joint)
     joint *= np.sqrt(w)[:, None]
-    R = np.triu(dgeqrf(joint, overwrite_a=1)[0][:p])
+    # joint.T is C-contiguous, as numpy's LAPACK bindings require, and
+    # holds joint in column-major order
+    tau, work = np.empty(min(n, k)), np.empty(1)
+    dgeqrf(n, k, joint.T, n, tau, work, -1, 0)  # workspace size query
+    work = np.empty(int(work[0]))
+    dgeqrf(n, k, joint.T, n, tau, work, work.size, 0)
+    R = np.triu(joint[:p])
     scale = np.abs(mean) + np.max(np.abs(R[:, :p]), axis=0)
     dead = np.flatnonzero(np.abs(np.diagonal(R)) <= COLLINEAR_RTOL * scale)
     if dead.size:
@@ -329,7 +335,9 @@ def _weighted_qr(X: np.ndarray, w: np.ndarray, name: str, other=None,
             f"{name} is singular: column {dead[0]} is constant or collinear "
             f"with the columns before it; {hint}"
         )
-    return Xc, solve_triangular(R[:, :p], np.eye(p)), R[:, p:]
+    # column-major, as a LAPACK triangular solve returns it: the products
+    # of lda, pcaiv and cca with inv(R) depend on the layout in the last bits
+    return Xc, np.asfortranarray(np.linalg.inv(R[:, :p])), R[:, p:]
 
 
 def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
@@ -532,7 +540,10 @@ def cca(X1, X2, weights=None) -> MethodResult:
                                hint="reduce dimensionality of the first block")
     X2c, R2i, cross_data = _weighted_qr(X2, w, "block-2 covariance", X1c,
                                         "reduce dimensionality of the second block")
-    merged = _decompose_factored(np.hstack([X1c, X2c]), w, block_diag(R1i.T, R2i.T), None)
+    p1 = X1c.shape[1]
+    G = np.zeros((p1 + X2c.shape[1],) * 2)
+    G[:p1, :p1], G[p1:, p1:] = R1i.T, R2i.T
+    merged = _decompose_factored(np.hstack([X1c, X2c]), w, G, None)
     # whitening block 2 leaves the cross triple unit weights
     cross = _decompose_factored(cross_data, np.ones(X2c.shape[1]), R1i.T, None)
     rho = np.sqrt(cross.eigenvalues)

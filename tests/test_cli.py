@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -6,9 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-import triptych.graph
 from triptych import (
     ca,
     component_subgraphs,
@@ -89,6 +90,47 @@ class TestBasics:
         )
         assert proc.returncode == 0
         assert "triptych" in proc.stdout
+
+
+def test_table_commands_load_no_scipy(tmp_path):
+    """The table commands and --version run on numpy alone."""
+    rng = np.random.default_rng(98)
+
+    def table(name, M):
+        path = tmp_path / name
+        path.write_text(
+            "id," + ",".join(f"c{j}" for j in range(M.shape[1])) + "\n"
+            + "".join(f"r{i}," + ",".join(repr(float(v)) for v in row) + "\n"
+                      for i, row in enumerate(M))
+        )
+        return str(path)
+
+    X = table("x.csv", rng.standard_normal((30, 4)))
+    Y = table("y.csv", rng.standard_normal((30, 3)))
+    N = table("n.csv", rng.integers(1, 20, (6, 5)).astype(float))
+    G = table("g.csv", np.repeat(np.eye(3), 10, axis=0))
+    commands = [
+        ["--version"],
+        ["pca", X, "--axes", "2", "--standardize"],
+        ["ca", N, "--axes", "2"],
+        ["lda", X, G, "--axes", "1"],
+        ["pcaiv", X, Y, "--axes", "2"],
+        ["cca", X, Y, "--axes", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import triptych\n"
+        "from triptych.cli import run_command\n"
+        "codes = [run_command(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.partition('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 class TestScreeFirst:
@@ -507,17 +549,18 @@ class TestGraphCommands:
         n = 40
         edges = write_edges(tmp_path / "ring.csv", ring_with_chords(np.random.default_rng(7), n))
         full_solves = []
-        real_eigh = triptych.graph.eigh
+        real_eigh = scipy.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             subset = kwargs.get("subset_by_index")
             if subset is None or list(subset) == [0, a.shape[0] - 1]:
-                full_solves.append(a.shape[0])
+                full_solves.append((a.shape[0], kwargs.get("eigvals_only", False)))
             return real_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(triptych.graph, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         assert run_command(["layout", str(edges), "--axes", "2"]) == 0
-        assert full_solves == [n]
+        # the scree needs every mu but no eigenvector
+        assert full_solves == [(n, True)]
 
     def test_arpack_no_convergence_falls_back_to_dense(self, tmp_path, monkeypatch,
                                                        capsys):
@@ -535,7 +578,7 @@ class TestGraphCommands:
             requested.append(kwargs["k"])
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
 
-        monkeypatch.setattr(triptych.graph, "eigsh", failing_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         sp = spectrum(g, k=3)
         npt.assert_allclose(sp.eigenvalues, mu, rtol=0, atol=1e-12)
         signs = np.sign(np.sum(sp.vectors * deg[:, None] * X, axis=0))

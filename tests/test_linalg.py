@@ -167,6 +167,16 @@ class TestDecompose:
         d = decompose(make_triple(Q * 5e153, np.eye(3), np.ones(50)))
         npt.assert_allclose(d.inertia, 7.5e307, rtol=1e-12)
 
+    @pytest.mark.parametrize("route", ["decompose", "gram-metric"])
+    def test_overflowing_product_is_an_error(self, route):
+        # every input is finite; sqrt(w) * X @ G.T is not
+        X = np.random.default_rng(37).standard_normal((50, 3)) * 1e300
+        with pytest.raises(ValueError, match="metric factor overflows; rescale the data"):
+            if route == "decompose":
+                decompose(make_triple(X, np.eye(3) * 1e300, np.ones(50)))
+            else:
+                decompose_gram_metric(X, np.eye(3) * 1e100, np.ones(50))
+
     def test_rank_one_example(self):
         X = np.array([[1.0, -1.0], [-1.0, 1.0]])
         t = make_triple(X, np.eye(2), np.eye(2) / 2)

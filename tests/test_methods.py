@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg.lapack
 import scipy.stats
 
-import triptych.linalg
 from triptych import (
     ContingencyTable,
     GroupCoding,
@@ -28,6 +28,7 @@ from triptych import (
     regress_on_covariates,
     rv_triples,
 )
+from triptych.methods import _weighted_qr
 
 from graph_helpers import ring_with_chords, write_edges
 
@@ -341,13 +342,13 @@ class TestTripleRoute:
     @pytest.mark.parametrize("case", _ROUTE_CASES)
     def test_no_cholesky(self, case, monkeypatch):
         calls = []
-        real_dpotrf = triptych.linalg.dpotrf
+        real_dpotrf = scipy.linalg.lapack.dpotrf
 
         def counting_dpotrf(*args, **kwargs):
             calls.append(1)
             return real_dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(triptych.linalg, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_dpotrf)
         method, triple_route = _method_and_triple_route(case)
         method()
         assert calls == []
@@ -734,6 +735,33 @@ def _near_collinear(seed=7, n=400):
     Y += 1e6 * np.outer(X[:, 3] - X[:, 2], np.ones(3))
     w = rng.uniform(0.5, 2.0, n)
     return X, X2, Y, labels, G, w
+
+
+@pytest.mark.parametrize("n,p,q,collinear", [
+    (200, 6, 3, False),
+    (400, 70, 5, False),   # wider than LAPACK's block size
+    (500, 70, 4, True),
+])
+def test_weighted_qr_matches_scipy_oracle(n, p, q, collinear):
+    """R (through its inverse) and the cross block of the weighted QR
+    against scipy's QR and triangular solve of the same scaled blocks."""
+    rng = np.random.default_rng(p + q)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+    if collinear:
+        X[:, -1] = X[:, 3] + 1e-6 * rng.standard_normal(n)
+    w = rng.uniform(0.5, 2.0, n)
+    w /= w.sum()
+    other = rng.standard_normal((n, q))
+    Xc, Ri, cross = _weighted_qr(X, w, "X", other)
+    npt.assert_array_equal(Xc, X - w @ X)
+    R = scipy.linalg.qr(np.hstack([Xc, other]) * np.sqrt(w)[:, None], mode="r")[0][:p]
+    R11 = R[:, :p]
+    ref = scipy.linalg.solve_triangular(R11, np.eye(p))
+    # both inverses are accurate to about cond(R11) ulps
+    tol = 1e-15 * np.linalg.cond(R11)
+    npt.assert_allclose(Ri, ref, rtol=0, atol=tol * np.max(np.abs(ref)))
+    npt.assert_allclose(R11 @ Ri, np.eye(p), rtol=0, atol=tol)
+    npt.assert_allclose(cross, R[:, p:], rtol=0, atol=1e-14 * np.max(np.abs(R[:, p:])))
 
 
 class TestNearCollinearBlocks:
