@@ -22,14 +22,13 @@ import numpy as np
 
 from . import __version__
 from .graph import (
-    _nontrivial_mu,
     classical_geary,
     component_subgraphs,
     geary,
     layout,
     local_variance,
     regress_on_covariates,
-    spectrum,  # noqa: F401  (unused here; perfbench/tracing.py rebinds it)
+    spectrum,
 )
 from .io import (
     Dataset,
@@ -274,7 +273,8 @@ def _cmd_layout(args) -> int:
     if len(parts) > 1:
         print(f"WARNING: {args.edges}: graph has {len(parts)} components; "
               "each is solved on its own", file=sys.stderr)
-    mu = np.sort(np.concatenate([_nontrivial_mu(sub) for _, sub in parts]))
+    # One component's eigenvectors at a time, each freed once its mu are read.
+    mu = np.sort(np.concatenate([spectrum(sub).eigenvalues for _, sub in parts]))
     if args.axes is None:
         print(_spectrum_lines(mu))
         return 0

@@ -27,10 +27,7 @@ runs ARPACK's Lanczos iteration on the sparse S M S, stopped once its
 work reaches about that of a dense solve.  Any other request, such as
 the full spectrum, runs a dense ``eigh``, which is also the fallback when
 ARPACK stops short: on paths and cycles the smallest mu crowd together as
-1/n^2 and Lanczos needs more work than the dense solve.  The scree of
-``triptych layout`` needs every mu but no eigenvector, so it runs the
-same dense ``eigh`` with ``eigvals_only=True``: no n x (n - 1) vector
-matrix is formed.
+1/n^2 and Lanczos needs more work than the dense solve.
 
 scipy is imported inside the functions that use it, so the table
 analyses, which import this module through the package, run on numpy
@@ -326,8 +323,14 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
     """
     from scipy.sparse.csgraph import connected_components
 
-    _check_nodes(g)
     n = g.n_nodes
+    if n == 0:
+        raise ValueError("graph has no nodes")
+    if n < 2:
+        raise ValueError(
+            f"node '{g.node_labels[0]}' is isolated; "
+            "the degree weighting is degenerate there"
+        )
     n_comp = connected_components(g.csr, directed=False, return_labels=False)
     if n_comp > 1:
         raise ValueError(
@@ -341,53 +344,16 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
             f"k must be in [1, {n - 1}] (the graph has {n - 1} nontrivial eigenpairs)"
         )
     mu, X = _smallest_pairs(g, k)
-    eigenvalues, vectors = _nontrivial(mu), np.ascontiguousarray(X[:, 1:])
-    _orient_columns(vectors)
-    for out in (eigenvalues, vectors):
-        out.setflags(write=False)
-    return GraphSpectrum(eigenvalues=eigenvalues, vectors=vectors)
-
-
-def _check_nodes(g: Graph) -> None:
-    """Raise :func:`spectrum`'s error for a graph of fewer than two nodes."""
-    if g.n_nodes == 0:
-        raise ValueError("graph has no nodes")
-    if g.n_nodes < 2:
-        raise ValueError(
-            f"node '{g.node_labels[0]}' is isolated; "
-            "the degree weighting is degenerate there"
-        )
-
-
-def _nontrivial(mu: np.ndarray) -> np.ndarray:
-    """Ascending mu of a connected graph without the leading trivial one."""
     # The graph is connected, so exactly one trivial pair leads.
     if mu[0] > 1e-8:
         raise np.linalg.LinAlgError(
             f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
         )
-    return mu[1:]
-
-
-def _dense_operator(g: Graph, s: np.ndarray) -> np.ndarray:
-    """I - S M S as a dense column-major array, with S = diag(s)."""
-    B = g.csr.toarray(order="F")
-    B *= s[:, None]
-    B *= s
-    np.negative(B, out=B)
-    # M has no loops, so this diagonal is zero before the identity is added.
-    np.fill_diagonal(B, 1.0)
-    return B
-
-
-def _nontrivial_mu(g: Graph) -> np.ndarray:
-    """All n - 1 nontrivial mu of a connected graph, ascending, from one
-    dense solve that computes no eigenvectors (the scree of a layout)."""
-    from scipy.linalg import eigh
-
-    _check_nodes(g)
-    B = _dense_operator(g, 1.0 / np.sqrt(g.degrees))
-    return _nontrivial(eigh(B, overwrite_a=True, eigvals_only=True))
+    eigenvalues, vectors = mu[1:], np.ascontiguousarray(X[:, 1:])
+    _orient_columns(vectors)
+    for out in (eigenvalues, vectors):
+        out.setflags(write=False)
+    return GraphSpectrum(eigenvalues=eigenvalues, vectors=vectors)
 
 
 def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +382,13 @@ def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
         except ArpackNoConvergence:
             pass
     if mu is None:
-        mu, Y = eigh(_dense_operator(g, s), overwrite_a=True, subset_by_index=[0, m])
+        B = A.toarray(order="F")
+        B *= s[:, None]
+        B *= s
+        np.negative(B, out=B)
+        # M has no loops, so this diagonal is zero before the identity is added.
+        np.fill_diagonal(B, 1.0)
+        mu, Y = eigh(B, overwrite_a=True, subset_by_index=[0, m])
     Y *= s[:, None]
     return mu, Y
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from numpy.linalg.lapack_lite import dgeqrf
 
 from .linalg import (
     Decomposition,
@@ -321,12 +320,22 @@ def _weighted_qr(X: np.ndarray, w: np.ndarray, name: str, other=None,
     joint = np.empty((n, k), order="F")
     np.concatenate([Xc] if other is None else [Xc, other], axis=1, out=joint)
     joint *= np.sqrt(w)[:, None]
-    # joint.T is C-contiguous, as numpy's LAPACK bindings require, and
-    # holds joint in column-major order
+    # numpy's own LAPACK binding factors in place, where np.linalg.qr copies
+    # twice.  It is undocumented (checked on numpy 2.4.6), so it is imported
+    # here: a numpy without it breaks only the methods that factor by QR.
+    from numpy.linalg.lapack_lite import dgeqrf
+
+    def factor(work, lwork):
+        # joint.T is C-contiguous, as the binding requires, and holds joint
+        # in column-major order
+        info = dgeqrf(n, k, joint.T, n, tau, work, lwork, 0)["info"]
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed (info = {info})")
+
     tau, work = np.empty(min(n, k)), np.empty(1)
-    dgeqrf(n, k, joint.T, n, tau, work, -1, 0)  # workspace size query
+    factor(work, -1)  # workspace size query
     work = np.empty(int(work[0]))
-    dgeqrf(n, k, joint.T, n, tau, work, work.size, 0)
+    factor(work, work.size)
     R = np.triu(joint[:p])
     scale = np.abs(mean) + np.max(np.abs(R[:, :p]), axis=0)
     dead = np.flatnonzero(np.abs(np.diagonal(R)) <= COLLINEAR_RTOL * scale)

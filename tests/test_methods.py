@@ -764,6 +764,15 @@ def test_weighted_qr_matches_scipy_oracle(n, p, q, collinear):
     npt.assert_allclose(cross, R[:, p:], rtol=0, atol=1e-14 * np.max(np.abs(R[:, p:])))
 
 
+def test_weighted_qr_reports_lapack_failure(monkeypatch):
+    import numpy.linalg.lapack_lite
+
+    monkeypatch.setattr(numpy.linalg.lapack_lite, "dgeqrf", lambda *args: {"info": -4})
+    X = np.random.default_rng(3).standard_normal((20, 3))
+    with pytest.raises(np.linalg.LinAlgError, match=r"dgeqrf failed \(info = -4\)"):
+        _weighted_qr(X, np.full(20, 0.05), "X")
+
+
 class TestNearCollinearBlocks:
     """Blocks whose covariance is too ill-conditioned to invert still have a
     well-conditioned weighted QR; results match test-local QR oracles."""
