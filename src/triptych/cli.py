@@ -290,8 +290,7 @@ def _cmd_layout(args) -> int:
         for w in caught:
             print(f"WARNING: {where}: {w.message}", file=sys.stderr)
     stem = args.out or os.path.splitext(args.edges)[0]
-    write_coordinates(f"{stem}_rows.tsv", g.node_labels, coords,
-                      axis_names=["axis_1", "axis_2"])
+    write_coordinates(f"{stem}_rows.tsv", g.node_labels, coords)
     write_coordinates(f"{stem}_scree.tsv", [str(i + 1) for i in range(mu.size)],
                       mu[:, None], axis_names=["mu"])
     write_manifest(f"{stem}_manifest.txt", {

@@ -16,23 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Triple
+from .linalg import Triple, _as_float_matrix
 
 __all__ = ["covv", "rv", "rv_triples", "rv_max"]
 
 
-def _check_pair(O1: np.ndarray, O2: np.ndarray) -> None:
-    if O1.ndim != 2 or O1.shape[0] != O1.shape[1]:
+def _operator_pair(O1, O2) -> tuple[np.ndarray, np.ndarray]:
+    """Two finite square operators of one shape, as float arrays."""
+    O1, O2 = _as_float_matrix(O1, "O1"), _as_float_matrix(O2, "O2")
+    if O1.shape[0] != O1.shape[1]:
         raise ValueError(f"operators must be square, got {O1.shape}")
     if O2.shape != O1.shape:
         raise ValueError(f"operator shapes differ: {O1.shape} vs {O2.shape}")
+    return O1, O2
 
 
 def covv(O1, O2) -> float:
     """Trace inner product ``trace(O1.T @ O2)`` of two square operators."""
-    O1 = np.asarray(O1, dtype=float)
-    O2 = np.asarray(O2, dtype=float)
-    _check_pair(O1, O2)
+    O1, O2 = _operator_pair(O1, O2)
     # trace(O1.T @ O2) is the entrywise sum, computed without the product.
     return float(np.sum(O1 * O2))
 
@@ -48,9 +49,7 @@ def rv(O1, O2) -> float:
     ValueError
         If either operator is identically zero (the ratio is undefined).
     """
-    O1 = np.asarray(O1, dtype=float)
-    O2 = np.asarray(O2, dtype=float)
-    _check_pair(O1, O2)
+    O1, O2 = _operator_pair(O1, O2)
     n11 = np.sum(O1 * O1)
     n22 = np.sum(O2 * O2)
     if n11 == 0.0 or n22 == 0.0:
@@ -103,6 +102,8 @@ def rv_max(eigenvalues, q: int) -> float:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1:
         raise ValueError("eigenvalues must be a vector")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues contain non-finite entries")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 0):

@@ -168,6 +168,19 @@ class Triple:
         return self.data.shape[1]
 
 
+def _checked_parts(X, Q, D, q_name: str, d_name: str):
+    """``(X, Q, w)`` validated as a triple's parts: a finite data matrix, a
+    finite symmetric metric sized to its columns and positive weights."""
+    X = _as_float_matrix(X, "X")
+    Q = _as_float_matrix(Q, q_name)
+    n, p = X.shape
+    if Q.shape != (p, p):
+        raise ValueError(
+            f"{q_name} must be {p}x{p} to match X with {p} columns, got {Q.shape}"
+        )
+    return X, _symmetrize(Q, q_name), _weight_vector(D, n, d_name)
+
+
 def make_triple(X, Q, D) -> Triple:
     """Validate and assemble a :class:`Triple`.
 
@@ -195,16 +208,10 @@ def make_triple(X, Q, D) -> Triple:
         When ``Q`` has a non-positive pivot or ``D`` a non-positive
         weight; the message carries its index.
     """
-    X = _as_float_matrix(X, "X")
-    Q = _as_float_matrix(Q, "Q")
-    n, p = X.shape
-    if Q.shape != (p, p):
-        raise ValueError(f"Q must be {p}x{p} to match X with {p} columns, got {Q.shape}")
-    Q = _symmetrize(Q, "Q")
+    X, Q, w = _checked_parts(X, Q, D, "Q", "D")
     # Definiteness is checked up front so errors surface at construction,
     # not deep inside a later factorization.
     _cholesky_upper(Q, "Q")
-    w = _weight_vector(D, n, "D")
     return Triple(data=_frozen(X), metric=_frozen(Q), weights=_frozen(w))
 
 
@@ -401,7 +408,8 @@ def decompose_gram_metric(
     semidefinite.  The metric is factored through its eigendecomposition,
     ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
     instead of a Cholesky; a significantly negative eigenvalue is
-    rejected.  ``weights`` are validated as ``D`` in :func:`make_triple`.
+    rejected.  ``X``, ``metric`` and ``weights`` are validated as ``X``, ``Q``
+    and ``D`` in :func:`make_triple`.
     Everything else is the core shared with :func:`decompose`: the same
     weight-side rescaling, rank cut, transition identity for the axis
     basis and sign orientation on the axis basis.  ``rank_request`` is
@@ -411,9 +419,7 @@ def decompose_gram_metric(
     metrics; this routine is the sanctioned detour for metrics that are
     semidefinite by construction rather than by data error.
     """
-    X = _as_float_matrix(X, "X")
-    metric = _symmetrize(_as_float_matrix(metric, "metric"), "metric")
-    w = _weight_vector(weights, X.shape[0], "weights")
+    X, metric, w = _checked_parts(X, metric, weights, "metric", "weights")
     return _decompose_factored(X, w, _semidefinite_factor(metric, "metric"), rank_request)
 
 

@@ -3,8 +3,8 @@
 Each method here builds the data matrix, a factor of the variable metric
 and the observation weights appropriate to its question, hands them to
 the shared eigendecomposition in :mod:`.linalg`, and packages the output as a
-:class:`MethodResult` with row and column coordinates, a scree table and
-method-specific extras.
+:class:`MethodResult` with row and column coordinates, the scree of that
+decomposition's spectrum and method-specific extras.
 
 Methods
 -------
@@ -166,9 +166,10 @@ class MethodResult:
     method : str
         Method tag ("pca", "ca", ...).
     decomposition : Decomposition
-        The underlying eigendecomposition.
+        The eigendecomposition of the method's triple.
     scree : ScreeTable
-        Eigenvalue / inertia% / cumulative% rows.
+        Eigenvalue / inertia% / cumulative% rows of that decomposition's
+        spectrum, set from it on construction.
     row_coords : ndarray
         One row per observation (or table row), one column per axis.
     col_coords : ndarray
@@ -179,19 +180,14 @@ class MethodResult:
 
     method: str
     decomposition: Decomposition
-    scree: ScreeTable
+    scree: ScreeTable = field(init=False)
     row_coords: np.ndarray
     col_coords: np.ndarray
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.scree):
-            pct_sum = sum(r.inertia_pct for r in self.scree)
-            if abs(pct_sum - 100.0) > 0.01:
-                raise ValueError(f"scree percentages sum to {pct_sum}, not 100")
-            cums = [r.cumulative_pct for r in self.scree]
-            if any(b < a - 1e-9 for a, b in zip(cums, cums[1:])):
-                raise ValueError("scree cumulative percentages must be nondecreasing")
+        scree = ScreeTable.from_eigenvalues(self.decomposition.eigenvalues)
+        object.__setattr__(self, "scree", scree)
 
 
 def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodResult:
@@ -237,7 +233,6 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
     return MethodResult(
         method="pca",
         decomposition=d,
-        scree=ScreeTable.from_eigenvalues(d.eigenvalues),
         row_coords=d.principal_components,
         col_coords=d.principal_axes,
         extras={
@@ -290,7 +285,6 @@ def ca(tbl: ContingencyTable) -> MethodResult:
     return MethodResult(
         method="ca",
         decomposition=d,
-        scree=ScreeTable.from_eigenvalues(d.eigenvalues),
         row_coords=d.principal_components,
         col_coords=d.principal_axes,
         extras={"chi_square": stat, "dof": dof, "row_masses": r, "col_masses": c},
@@ -411,7 +405,6 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     return MethodResult(
         method="lda",
         decomposition=d,
-        scree=ScreeTable.from_eigenvalues(d.eigenvalues),
         row_coords=Xc @ disc,
         col_coords=d.principal_axes,
         extras={
@@ -496,7 +489,6 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     return MethodResult(
         method="pcaiv",
         decomposition=d,
-        scree=ScreeTable.from_eigenvalues(d.eigenvalues),
         row_coords=d.principal_components,
         col_coords=d.principal_axes,
         extras={
@@ -511,31 +503,27 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
 def cca(X1, X2, weights=None) -> MethodResult:
     """Canonical correlation analysis of two variable blocks.
 
-    Decomposes the merged triple: both blocks side by side, with the
-    block-diagonal metric made of the two inverse within-block
-    covariances, factored by weighted QR ``sqrt(w) * Xkc = Qk @ Rk``
-    as ``inv(Rk).T``.  Its eigenvalues come in pairs 1 +- rho around 1, one
-    pair per canonical correlation rho, and that full decomposition is
-    returned in the ``decomposition`` field.
-
-    Reported eigenvalues (the scree) are the squared canonical
-    correlations, obtained from the equivalent cross-block triple: the
-    cross-covariance in whitened block-2 coordinates,
+    Each block is centred and factored by weighted QR,
+    ``sqrt(w) * Xkc = Qk @ Rk``.  The decomposition is that of the cross
+    triple: the cross-covariance in whitened block-2 coordinates,
     ``Q2.T @ (sqrt(w) * X1c) = inv(R2).T @ S21``, under the block-1
-    inverse covariance and unit weights.  Its axis basis gives the
-    block-1 canonical coefficients (through the block-1 inverse
-    covariance) and its component basis, in QR-whitened block-2
-    coordinates, the block-2 coefficients (through ``inv(R2)``); each
-    canonical variable has unit weighted variance, and paired canonical
-    variables have weighted covariance rho.
+    inverse covariance and unit weights.  Its eigenvalues, and so the
+    scree, are the squared canonical correlations, and its inertia is
+    their sum.  Its axis basis gives the block-1 canonical coefficients
+    (through the block-1 inverse covariance) and its component basis, in
+    QR-whitened block-2 coordinates, the block-2 coefficients (through
+    ``inv(R2)``); each canonical variable has unit weighted variance, and
+    paired canonical variables have weighted covariance rho.
 
     Row coordinates are the block-1 canonical scores; column coordinates
     stack the block-1 and block-2 coefficient matrices.
 
     Extras: ``canonical_correlations``, ``coefficients_1`` (p1 x q),
     ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q),
-    ``cross_decomposition`` (the cross-block Decomposition; its
-    component basis is in QR-whitened block-2 coordinates).
+    ``merged_decomposition``: the equivalent merged triple, both blocks
+    side by side under the block-diagonal metric of the two inverse
+    within-block covariances (``inv(Rk).T`` as factors), whose
+    eigenvalues pair as 1 +- rho around 1 and whose inertia is p1 + p2.
     """
     X1 = _as_float_matrix(X1, "X1")
     X2 = _as_float_matrix(X2, "X2")
@@ -561,8 +549,7 @@ def cca(X1, X2, weights=None) -> MethodResult:
     scores1 = X1c @ coef1
     return MethodResult(
         method="cca",
-        decomposition=merged,
-        scree=ScreeTable.from_eigenvalues(cross.eigenvalues),
+        decomposition=cross,
         row_coords=scores1,
         col_coords=np.vstack([coef1, coef2]),
         extras={
@@ -571,6 +558,6 @@ def cca(X1, X2, weights=None) -> MethodResult:
             "coefficients_2": coef2,
             "scores_1": scores1,
             "scores_2": X2c @ coef2,
-            "cross_decomposition": cross,
+            "merged_decomposition": merged,
         },
     )

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from triptych import (
     ca,
+    cca,
     component_subgraphs,
     ContingencyTable,
     layout,
@@ -222,6 +223,14 @@ class TestScreeFirst:
         assert run_command(["pca", str(measurements), "--standardize"]) == 0
         assert "total inertia: 3.0000" in capsys.readouterr().out
 
+    def test_rank_zero_scree(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("id,a,b\ns1,1,2\ns2,1,2\ns3,1,2\n")
+        assert run_command(["pca", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "no positive eigenvalues (rank 0)\ntotal inertia: 0.0000\n"
+        )
+
 
 class TestCa:
     def test_end_to_end(self, tmp_path, capsys):
@@ -408,6 +417,24 @@ class TestCca:
         assert labels == ["p", "q", "r", "s"]
         manifest = (tmp_path / "one_manifest.txt").read_text()
         assert "canonical_correlations:" in manifest
+
+    def test_inertia_is_the_sum_of_squared_correlations(self, tmp_path, capsys):
+        rng = np.random.default_rng(92)
+        A = rng.standard_normal((12, 3))
+        B = A[:, :2] + rng.standard_normal((12, 2))
+        apath, bpath = tmp_path / "one.csv", tmp_path / "two.csv"
+        for path, M in ((apath, A), (bpath, B)):
+            path.write_text("id" + "".join(f",c{j}" for j in range(M.shape[1])) + "\n"
+                            + "".join(f"r{i}," + ",".join(map(repr, row.tolist())) + "\n"
+                                      for i, row in enumerate(M)))
+        res = cca(A, B)
+        rho = res.extras["canonical_correlations"]
+        npt.assert_allclose(res.decomposition.inertia, np.sum(rho**2), rtol=1e-12)
+        assert run_command(["cca", str(apath), str(bpath)]) == 0
+        assert f"total inertia: {np.sum(rho**2):.4f}\n" in capsys.readouterr().out
+        assert run_command(["cca", str(apath), str(bpath), "--axes", "1"]) == 0
+        manifest = (tmp_path / "one_manifest.txt").read_text()
+        assert f"total_inertia: {format(res.decomposition.inertia, '.17g')}\n" in manifest
 
 
 class TestSingularBlocks:

@@ -29,6 +29,13 @@ class TestCovv:
         with pytest.raises(ValueError):
             covv(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        O = np.eye(2)
+        O[0, 1] = bad
+        with pytest.raises(ValueError, match="O2 contains non-finite entries"):
+            covv(np.eye(2), O)
+
 
 class TestRv:
     def test_self_similarity_is_one(self):
@@ -39,6 +46,13 @@ class TestRv:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             rv(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        O = np.eye(2)
+        O[1, 1] = bad
+        with pytest.raises(ValueError, match="O1 contains non-finite entries"):
+            rv(O, np.eye(2))
 
     def test_opposite_variables(self):
         x = np.array([-1.0, 0.0, 1.0])
@@ -159,6 +173,11 @@ class TestRvMax:
             rv_max([2.0, 1.0], 3)
         with pytest.raises(ValueError, match="zero"):
             rv_max([0.0, 0.0], 1)
+
+    @pytest.mark.parametrize("lam", [[np.inf, 1.0], [2.0, np.nan], [np.nan, np.nan]])
+    def test_non_finite_eigenvalues_rejected(self, lam):
+        with pytest.raises(ValueError, match="eigenvalues contain non-finite entries"):
+            rv_max(lam, 1)
 
 
 class TestRankQOptimality:

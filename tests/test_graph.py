@@ -117,6 +117,10 @@ class TestMakeGraph:
         with pytest.raises(ValueError, match="duplicate"):
             make_graph([[0, 1], [1, 0]], node_labels=["a", "a"])
 
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="adjacency must be a 2-D matrix, got ndim=3"):
+            make_graph(np.zeros((2, 2, 2)))
+
     def test_adjacency_immutable(self):
         g = path_graph()
         with pytest.raises(ValueError):
@@ -340,6 +344,19 @@ class TestClassicalGeary:
 
 
 class TestLocalCovariance:
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match="local covariance needs at least one edge"):
+            local_covariance(make_graph(np.zeros((3, 3))), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("X, message", [
+        (np.ones((3, 2)), r"one row per node \(4\), got shape \(3, 2\)"),
+        (np.ones((4, 2, 1)), r"one row per node \(4\), got shape \(4, 2, 1\)"),
+        ([[1.0], [np.nan], [0.0], [2.0]], "covariates contain non-finite entries"),
+    ], ids=["rows", "3-D", "nan"])
+    def test_bad_covariates_rejected(self, X, message):
+        with pytest.raises(ValueError, match=message):
+            local_covariance(path_graph(4), X)
+
     def test_constant_columns_are_zero(self):
         g = path_graph(4)
         V = local_covariance(g, np.ones((4, 2)))

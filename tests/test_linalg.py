@@ -367,6 +367,11 @@ class TestGramMetricPath:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             decompose_gram_metric(np.ones((3, 2)), np.diag([1.0, -1.0]), np.eye(3))
 
+    def test_metric_of_another_size_rejected(self):
+        with pytest.raises(ValueError,
+                           match="metric must be 3x3 to match X with 3 columns"):
+            decompose_gram_metric(np.ones((5, 3)), np.eye(4), np.ones(5))
+
 
 class TestTransitionCheck:
     def test_identity_for_fresh_decomposition(self):

@@ -10,6 +10,7 @@ from triptych import (
     ContingencyTable,
     GroupCoding,
     NotPositiveDefiniteError,
+    ScreeTable,
     ca,
     cca,
     center_columns,
@@ -21,6 +22,7 @@ from triptych import (
     lda,
     local_covariance,
     local_variance,
+    make_graph,
     make_triple,
     pca,
     pcaiv,
@@ -479,6 +481,10 @@ class TestLda:
         with pytest.raises(ValueError, match="two groups"):
             lda(np.eye(3), ["same", "same", "same"])
 
+    def test_coding_of_another_row_count_rejected(self):
+        with pytest.raises(ValueError, match="groups describe 4 rows, data has 5"):
+            lda(np.ones((5, 2)), ["a", "b", "a", "b"])
+
     def test_accepts_prebuilt_coding(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
         g = GroupCoding.from_labels(["p", "q", "p", "q"])
@@ -603,6 +609,17 @@ class TestPcaiv:
         with pytest.raises(ValueError, match="reduce dimensionality"):
             pcaiv(X, np.array([[1.0], [0.0], [-1.0]]))
 
+    def test_response_of_another_row_count_rejected(self):
+        with pytest.raises(ValueError,
+                           match="X and Y must have equal row counts, got 5 and 4"):
+            pcaiv(np.ones((5, 2)), np.ones((4, 2)))
+
+    def test_response_metric_of_another_size_rejected(self):
+        rng = np.random.default_rng(46)
+        with pytest.raises(ValueError, match=r"response_metric must be 2x2, got \(3, 3\)"):
+            pcaiv(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
+                  response_metric=np.eye(3))
+
 
 class TestLdaPcaivEquivalence:
     def test_same_spectrum(self):
@@ -626,6 +643,28 @@ class TestLdaPcaivEquivalence:
         )
 
 
+@pytest.mark.parametrize("method", ["pca", "ca", "lda", "pcaiv", "cca",
+                                    "regress_on_covariates"])
+def test_scree_is_the_decomposition_spectrum(method):
+    rng = np.random.default_rng(54)
+    X, Y = rng.standard_normal((30, 3)), rng.standard_normal((30, 2))
+    u, v = ring_with_chords(rng, 30).T
+    M = np.zeros((30, 30))
+    M[u, v] = M[v, u] = 1.0
+    run = {
+        "pca": lambda: pca(X),
+        "ca": lambda: ca(ContingencyTable(rng.integers(1, 9, (5, 4)))),
+        "lda": lambda: lda(X, ["a", "b", "c"] * 10),
+        "pcaiv": lambda: pcaiv(X, Y, q=1),
+        "cca": lambda: cca(X, Y),
+        "regress_on_covariates": lambda: regress_on_covariates(make_graph(M), X, k=2),
+    }
+    res = run[method]()
+    assert len(res.scree) > 0
+    want = ScreeTable.from_eigenvalues(res.decomposition.eigenvalues)
+    assert res.scree.rows == want.rows
+
+
 class TestCca:
     def test_identical_blocks(self):
         rng = np.random.default_rng(48)
@@ -644,10 +683,11 @@ class TestCca:
         X2 -= X2.mean(axis=0)
         X2 -= X1 @ np.linalg.lstsq(X1, X2, rcond=None)[0]
         res = cca(X1, X2)
-        assert res.extras["cross_decomposition"].rank == 0
+        assert res.decomposition.rank == 0
         assert res.extras["canonical_correlations"].size == 0
         # merged spectrum collapses onto 1
-        npt.assert_allclose(res.decomposition.eigenvalues, np.ones(4), atol=1e-10)
+        npt.assert_allclose(res.extras["merged_decomposition"].eigenvalues, np.ones(4),
+                            atol=1e-10)
 
     def test_against_classical_eigensolve(self):
         rng = np.random.default_rng(50)
@@ -679,9 +719,10 @@ class TestCca:
         expected = np.sort(np.concatenate([
             1.0 + rho, 1.0 - rho, np.ones(p1 + p2 - 2 * rho.size)
         ]))[::-1]
-        npt.assert_allclose(np.sort(res.decomposition.eigenvalues)[::-1],
+        merged = res.extras["merged_decomposition"]
+        npt.assert_allclose(np.sort(merged.eigenvalues)[::-1],
                             expected, rtol=1e-8, atol=1e-10)
-        npt.assert_allclose(res.decomposition.inertia, p1 + p2, rtol=1e-10)
+        npt.assert_allclose(merged.inertia, p1 + p2, rtol=1e-10)
 
     def test_score_normalization_and_pairing(self):
         rng = np.random.default_rng(52)
