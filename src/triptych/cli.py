@@ -273,8 +273,8 @@ def _cmd_layout(args) -> int:
     if len(parts) > 1:
         print(f"WARNING: {args.edges}: graph has {len(parts)} components; "
               "each is solved on its own", file=sys.stderr)
-    # One component's eigenvectors at a time, each freed once its mu are read.
-    mu = np.sort(np.concatenate([spectrum(sub).eigenvalues for _, sub in parts]))
+    mu = np.sort(np.concatenate([spectrum(sub, vectors=False).eigenvalues
+                                 for _, sub in parts]))
     if args.axes is None:
         print(_spectrum_lines(mu))
         return 0

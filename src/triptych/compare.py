@@ -43,6 +43,8 @@ def rv(O1, O2) -> float:
 
     Lies in [0, 1] when both operators are positive semidefinite; for
     general matrices the value can be negative and is returned as-is.
+    Each operator is divided by its largest |entry| first, so the sums
+    neither overflow nor underflow at any scale of the operators.
 
     Raises
     ------
@@ -50,11 +52,12 @@ def rv(O1, O2) -> float:
         If either operator is identically zero (the ratio is undefined).
     """
     O1, O2 = _operator_pair(O1, O2)
-    n11 = np.sum(O1 * O1)
-    n22 = np.sum(O2 * O2)
-    if n11 == 0.0 or n22 == 0.0:
+    a1 = np.max(np.abs(O1), initial=0.0)
+    a2 = np.max(np.abs(O2), initial=0.0)
+    if a1 == 0.0 or a2 == 0.0:
         raise ValueError("rv is undefined for a zero operator")
-    return float(np.sum(O1 * O2) / np.sqrt(n11 * n22))
+    O1, O2 = O1 / a1, O2 / a2
+    return float(np.sum(O1 * O2) / np.sqrt(np.sum(O1 * O1) * np.sum(O2 * O2)))
 
 
 def _covv_triples(t1: Triple, t2: Triple) -> float:

@@ -21,10 +21,11 @@ statistics (sums over the edge list) all take O(|E|) memory.  An n x n
 array is built only when a caller asks for that operator:
 ``Graph.adjacency`` and :func:`laplacian`.  :func:`spectrum` solves a
 connected graph (the eigenproblem splits over :func:`component_subgraphs`)
-for only the pairs it returns.  A graph that needs few pairs for its
-size, as :func:`layout` and :func:`regress_on_covariates` usually do,
-runs ARPACK's Lanczos iteration on the sparse S M S, stopped once its
-work reaches about that of a dense solve.  Any other request, such as
+for only the pairs it returns, and a request for mu alone (a scree)
+builds no vector matrix.  A graph that needs few pairs for its size, as
+:func:`layout` and :func:`regress_on_covariates` usually do, runs
+ARPACK's Lanczos iteration on the sparse S M S, stopped once its work
+reaches about that of a dense solve.  Any other request, such as
 the full spectrum, runs a dense ``eigh``, which is also the fallback when
 ARPACK stops short: on paths and cycles the smallest mu crowd together as
 1/n^2 and Lanczos needs more work than the dense solve.
@@ -294,15 +295,15 @@ class GraphSpectrum:
 
     ``eigenvalues`` is nondecreasing in [0, 2]; ``vectors`` has one
     column per eigenpair, orthonormal in the degree metric
-    (vectors' Dg vectors = I).  The trivial pair (mu = 0, constant
-    vector) is dropped.
+    (vectors' Dg vectors = I), or none when only eigenvalues were asked
+    for.  The trivial pair (mu = 0, constant vector) is dropped.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
 
-def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
+def spectrum(g: Graph, k: int | None = None, *, vectors: bool = True) -> GraphSpectrum:
     """Smallest-mu nontrivial eigenpairs of a connected graph's eigenproblem.
 
     Parameters
@@ -312,6 +313,9 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
         Number of eigenpairs to return; all n - 1 nontrivial ones by
         default.  ``k`` is checked before any eigensolve, and only the
         pairs it asks for are computed.
+    vectors : bool, default True
+        When False, only the eigenvalues are wanted: a dense solve then
+        builds no eigenvector matrix, and ``vectors`` comes back n x 0.
 
     Raises
     ------
@@ -343,25 +347,29 @@ def spectrum(g: Graph, k: int | None = None) -> GraphSpectrum:
         raise ValueError(
             f"k must be in [1, {n - 1}] (the graph has {n - 1} nontrivial eigenpairs)"
         )
-    mu, X = _smallest_pairs(g, k)
+    mu, X = _smallest_pairs(g, k, vectors)
     # The graph is connected, so exactly one trivial pair leads.
     if mu[0] > 1e-8:
         raise np.linalg.LinAlgError(
             f"expected a zero leading eigenvalue, got {mu[0]:.3e}"
         )
-    eigenvalues, vectors = mu[1:], np.ascontiguousarray(X[:, 1:])
-    _orient_columns(vectors)
-    for out in (eigenvalues, vectors):
+    eigenvalues = mu[1:]
+    X = np.ascontiguousarray(X[:, 1:]) if vectors else np.empty((n, 0))
+    _orient_columns(X)
+    for out in (eigenvalues, X):
         out.setflags(write=False)
-    return GraphSpectrum(eigenvalues=eigenvalues, vectors=vectors)
+    return GraphSpectrum(eigenvalues=eigenvalues, vectors=X)
 
 
-def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _smallest_pairs(
+    g: Graph, m: int, vectors: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The m + 1 smallest eigenpairs (mu, x) of a connected graph, mu
-    ascending, x orthonormal in the degree metric."""
+    ascending, x orthonormal in the degree metric.  Without ``vectors``
+    the dense solve returns x as None; ARPACK's x is returned anyway."""
     from scipy.linalg import eigh
     from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = g.n_nodes
     s = 1.0 / np.sqrt(g.degrees)
@@ -373,10 +381,13 @@ def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
         # scipy's default basis size; each restart adds ncv - (m + 1) products.
         ncv = max(2 * m + 3, 20)
         restarts = n * n // (_DENSE_SOLVE_PER_LANCZOS_UNIT * ncv * (ncv - m - 1))
+        # A 1-D product: given the matrix itself, eigsh would route every
+        # product through an n x 1 matrix-matrix product.
+        op = LinearOperator((n, n), matvec=SMS.__matmul__, dtype=float)
         try:
             # The largest 1 - mu are the smallest mu.  A fixed seed fixes the
             # starting vector and any restart, so results repeat exactly.
-            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
+            w, Y = eigsh(op, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
                          maxiter=max(restarts, 1))
             mu, Y = 1.0 - w[::-1], Y[:, ::-1]
         except ArpackNoConvergence:
@@ -388,7 +399,10 @@ def _smallest_pairs(g: Graph, m: int) -> tuple[np.ndarray, np.ndarray]:
         np.negative(B, out=B)
         # M has no loops, so this diagonal is zero before the identity is added.
         np.fill_diagonal(B, 1.0)
-        mu, Y = eigh(B, overwrite_a=True, subset_by_index=[0, m])
+        out = eigh(B, overwrite_a=True, subset_by_index=[0, m], eigvals_only=not vectors)
+        if not vectors:
+            return out, None
+        mu, Y = out
     Y *= s[:, None]
     return mu, Y
 

@@ -581,12 +581,13 @@ class TestGraphCommands:
         def counting_eigh(a, *args, **kwargs):
             subset = kwargs.get("subset_by_index")
             if subset is None or list(subset) == [0, a.shape[0] - 1]:
-                full_solves.append(a.shape[0])
+                full_solves.append((a.shape[0], kwargs.get("eigvals_only", False)))
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         assert run_command(["layout", str(edges), "--axes", "2"]) == 0
-        assert full_solves == [n]
+        # The scree's one full solve builds no eigenvectors.
+        assert full_solves == [(n, True)]
 
     def test_arpack_no_convergence_falls_back_to_dense(self, tmp_path, monkeypatch,
                                                        capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -46,6 +48,12 @@ class TestRv:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             rv(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("c1, c2", [(1e200, 1.0), (1e200, 1e200), (1e-200, 1e-200)])
+    def test_extreme_scales(self, c1, c2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rv(c1 * np.eye(2), c2 * np.eye(2)) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_rejected(self, bad):

@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import triptych.graph
@@ -79,6 +81,18 @@ def sparse_graph(n, edges):
     a, b = np.asarray(edges).T
     M = sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
     return make_graph(M)
+
+
+@st.composite
+def ring_plus_chords(draw):
+    """A connected graph: a cycle on 3 to 60 nodes plus random chords."""
+    n = draw(st.integers(3, 60))
+    node = st.integers(0, n - 1)
+    chords = np.array(draw(st.lists(st.tuples(node, node), max_size=2 * n)), dtype=int)
+    chords = chords.reshape(-1, 2)
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    return sparse_graph(n, np.unique(np.sort(np.vstack([ring_edges(n), chords]), axis=1),
+                                     axis=0))
 
 
 def brute_pair_sum(M, x, y):
@@ -486,6 +500,36 @@ class TestSpectrum:
         s1, s2 = spectrum(g), spectrum(g)
         npt.assert_array_equal(s1.vectors, s2.vectors)
 
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_eigenvalues_only(self, k):
+        g = random_connected(np.random.default_rng(73), 9)
+        full, only = spectrum(g, k=k), spectrum(g, k=k, vectors=False)
+        npt.assert_allclose(only.eigenvalues, full.eigenvalues, rtol=0, atol=1e-13)
+        assert only.vectors.shape == (9, 0)
+        assert not only.vectors.flags.writeable
+        assert not only.eigenvalues.flags.writeable
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_errors_with_and_without_vectors(self, vectors):
+        with pytest.raises(ValueError, match=r"disconnected \(2 components\)"):
+            spectrum(two_triangles(), vectors=vectors)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=r"k must be in \[1, 3\]"):
+                spectrum(path_graph(4), k=k, vectors=vectors)
+        with pytest.raises(ValueError, match="node 'solo' is isolated"):
+            spectrum(make_graph(np.zeros((1, 1)), node_labels=["solo"]), vectors=vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_plus_chords())
+    def test_nontrivial_mu_sum_to_n(self, g):
+        # trace(I - S M S) = n for a loop-free graph, and the trivial mu is 0.
+        n = g.n_nodes
+        full = spectrum(g).eigenvalues
+        only = spectrum(g, vectors=False).eigenvalues
+        for mu in (full, only):
+            assert abs(np.sum(mu) - n) <= 1e-10 * n
+        npt.assert_allclose(only, full, rtol=0, atol=1e-13)
+
 
 def _grid_edges(m):
     idx = np.arange(m * m).reshape(m, m)
@@ -555,6 +599,12 @@ class TestSparseSpectrum:
         assert len(products) <= budget + ncv
         mu = 1.0 - np.cos(2 * np.pi * np.array([1, 1, 2]) / n)
         npt.assert_allclose(sp.eigenvalues, mu, rtol=0, atol=1e-12)
+
+    def test_eigenvalues_only_match_arpack_pairs(self):
+        g = _LARGE_GRAPHS["chords-600"]()
+        full, only = spectrum(g, k=3), spectrum(g, k=3, vectors=False)
+        npt.assert_array_equal(only.eigenvalues, full.eigenvalues)
+        assert only.vectors.shape == (600, 0)
 
     @pytest.mark.parametrize("name", sorted(_LARGE_GRAPHS))
     def test_matches_dense_oracle(self, name, monkeypatch):
