@@ -362,14 +362,14 @@ def spectrum(g: Graph, k: int | None = None, *, vectors: bool = True) -> GraphSp
 
 
 def _smallest_pairs(
-    g: Graph, m: int, vectors: bool = True,
+    g: Graph, m: int, vectors: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The m + 1 smallest eigenpairs (mu, x) of a connected graph, mu
     ascending, x orthonormal in the degree metric.  Without ``vectors``
-    the dense solve returns x as None; ARPACK's x is returned anyway."""
+    the dense solve returns x as None."""
     from scipy.linalg import eigh
     from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = g.n_nodes
     s = 1.0 / np.sqrt(g.degrees)
@@ -381,13 +381,10 @@ def _smallest_pairs(
         # scipy's default basis size; each restart adds ncv - (m + 1) products.
         ncv = max(2 * m + 3, 20)
         restarts = n * n // (_DENSE_SOLVE_PER_LANCZOS_UNIT * ncv * (ncv - m - 1))
-        # A 1-D product: given the matrix itself, eigsh would route every
-        # product through an n x 1 matrix-matrix product.
-        op = LinearOperator((n, n), matvec=SMS.__matmul__, dtype=float)
         try:
             # The largest 1 - mu are the smallest mu.  A fixed seed fixes the
             # starting vector and any restart, so results repeat exactly.
-            w, Y = eigsh(op, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
+            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
                          maxiter=max(restarts, 1))
             mu, Y = 1.0 - w[::-1], Y[:, ::-1]
         except ArpackNoConvergence:

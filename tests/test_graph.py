@@ -6,8 +6,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import triptych.graph
@@ -81,18 +79,6 @@ def sparse_graph(n, edges):
     a, b = np.asarray(edges).T
     M = sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
     return make_graph(M)
-
-
-@st.composite
-def ring_plus_chords(draw):
-    """A connected graph: a cycle on 3 to 60 nodes plus random chords."""
-    n = draw(st.integers(3, 60))
-    node = st.integers(0, n - 1)
-    chords = np.array(draw(st.lists(st.tuples(node, node), max_size=2 * n)), dtype=int)
-    chords = chords.reshape(-1, 2)
-    chords = chords[chords[:, 0] != chords[:, 1]]
-    return sparse_graph(n, np.unique(np.sort(np.vstack([ring_edges(n), chords]), axis=1),
-                                     axis=0))
 
 
 def brute_pair_sum(M, x, y):
@@ -518,17 +504,6 @@ class TestSpectrum:
                 spectrum(path_graph(4), k=k, vectors=vectors)
         with pytest.raises(ValueError, match="node 'solo' is isolated"):
             spectrum(make_graph(np.zeros((1, 1)), node_labels=["solo"]), vectors=vectors)
-
-    @settings(max_examples=60, deadline=None)
-    @given(ring_plus_chords())
-    def test_nontrivial_mu_sum_to_n(self, g):
-        # trace(I - S M S) = n for a loop-free graph, and the trivial mu is 0.
-        n = g.n_nodes
-        full = spectrum(g).eigenvalues
-        only = spectrum(g, vectors=False).eigenvalues
-        for mu in (full, only):
-            assert abs(np.sum(mu) - n) <= 1e-10 * n
-        npt.assert_allclose(only, full, rtol=0, atol=1e-13)
 
 
 def _grid_edges(m):
