@@ -31,6 +31,14 @@ def _operator_pair(O1, O2) -> tuple[np.ndarray, np.ndarray]:
     return O1, O2
 
 
+def _unit_scaled(M: np.ndarray) -> np.ndarray:
+    """``M`` over its largest |entry|: products of such arrays stay in range."""
+    a = np.max(np.abs(M), initial=0.0)
+    if a == 0.0:
+        raise ValueError("rv is undefined for a zero operator")
+    return M / a
+
+
 def covv(O1, O2) -> float:
     """Trace inner product ``trace(O1.T @ O2)`` of two square operators."""
     O1, O2 = _operator_pair(O1, O2)
@@ -51,28 +59,23 @@ def rv(O1, O2) -> float:
     ValueError
         If either operator is identically zero (the ratio is undefined).
     """
-    O1, O2 = _operator_pair(O1, O2)
-    a1 = np.max(np.abs(O1), initial=0.0)
-    a2 = np.max(np.abs(O2), initial=0.0)
-    if a1 == 0.0 or a2 == 0.0:
-        raise ValueError("rv is undefined for a zero operator")
-    O1, O2 = O1 / a1, O2 / a2
+    O1, O2 = map(_unit_scaled, _operator_pair(O1, O2))
     return float(np.sum(O1 * O2) / np.sqrt(np.sum(O1 * O1) * np.sum(O2 * O2)))
 
 
-def _covv_triples(t1: Triple, t2: Triple) -> float:
-    """``covv`` of the triples' operators in p-space: trace(Q1 X1'D^2 X2 Q2 X2'X1)."""
-    A = t1.metric @ (t1.data.T * t1.weights**2) @ t2.data
-    return float(np.sum(A * (t2.metric @ t2.data.T @ t1.data).T))
+def _covv_triples(X1, Q1, X2, Q2, w) -> float:
+    """``covv`` of two triples' operators in p-space: trace(Q1 X1'D^2 X2 Q2 X2'X1)."""
+    A = Q1 @ (X1.T * w**2) @ X2
+    return float(np.sum(A * (Q2 @ X2.T @ X1).T))
 
 
 def rv_triples(t1: Triple, t2: Triple) -> float:
     """RV coefficient between the observation-space operators of two triples.
 
     The triples must describe the same observations: equal row counts and
-    identical weight vectors.  (Both trace formulas weight observation
-    pairs through the common ``D = diag(weights)``; comparing across
-    different weightings is not meaningful.)
+    identical weight vectors, as both trace formulas weight observation
+    pairs through the common ``D = diag(weights)``.  Each array is divided
+    by its largest |entry| first, which leaves RV unchanged at any scale.
     """
     if t1.n_observations != t2.n_observations:
         raise ValueError(
@@ -81,10 +84,11 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
         )
     if not np.array_equal(t1.weights, t2.weights):
         raise ValueError("triples must share the same observation weights")
-    n11, n22 = _covv_triples(t1, t1), _covv_triples(t2, t2)
+    X1, Q1, X2, Q2, w = map(_unit_scaled, (t1.data, t1.metric, t2.data, t2.metric, t1.weights))
+    n11, n22 = _covv_triples(X1, Q1, X1, Q1, w), _covv_triples(X2, Q2, X2, Q2, w)
     if n11 == 0.0 or n22 == 0.0:
         raise ValueError("rv is undefined for a zero operator")
-    return float(_covv_triples(t1, t2) / np.sqrt(n11 * n22))
+    return float(_covv_triples(X1, Q1, X2, Q2, w) / np.sqrt(n11 * n22))
 
 
 def rv_max(eigenvalues, q: int) -> float:

@@ -212,7 +212,8 @@ def make_triple(X, Q, D) -> Triple:
     # Definiteness is checked up front so errors surface at construction,
     # not deep inside a later factorization.
     _cholesky_upper(Q, "Q")
-    return Triple(data=_frozen(X), metric=_frozen(Q), weights=_frozen(w))
+    Q.setflags(write=False)  # the symmetrized Q is fresh; X and w may be the caller's
+    return Triple(data=_frozen(X), metric=Q, weights=_frozen(w))
 
 
 def center_columns(t: Triple) -> Triple:
@@ -224,12 +225,13 @@ def center_columns(t: Triple) -> Triple:
     """
     w = t.weights
     centered = t.data - w @ t.data / w.sum()
-    return Triple(data=_frozen(centered), metric=t.metric, weights=t.weights)
+    centered.setflags(write=False)
+    return Triple(data=centered, metric=t.metric, weights=t.weights)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of the generalized eigendecomposition of a triple.
+    """Generalized eigendecomposition of a triple, as read-only arrays.
 
     Attributes
     ----------
@@ -283,12 +285,10 @@ class Decomposition:
 
 def _tie_flags(lam: np.ndarray) -> np.ndarray:
     flags = np.zeros(lam.shape[0], dtype=bool)
-    if lam.shape[0] >= 2:
-        gaps = (lam[:-1] - lam[1:]) / lam[:-1]
-        close = gaps < TIE_RTOL
-        flags[:-1] |= close
-        flags[1:] |= close
-    flags.setflags(write=False)
+    gaps = (lam[:-1] - lam[1:]) / lam[:-1]
+    close = gaps < TIE_RTOL
+    flags[:-1] |= close
+    flags[1:] |= close
     return flags
 
 
@@ -345,16 +345,20 @@ def _decompose_factored(
         inertia = float(np.sum(lam_all))
     if inertia == np.inf:
         raise ValueError("the total inertia overflows; rescale the data")
+    principal_axes, principal_components = Z * s, L * s
+    tie_flags = _tie_flags(eigenvalues)
+    for out in (eigenvalues, Z, principal_axes, L, principal_components, tie_flags):
+        out.setflags(write=False)
     return Decomposition(
-        eigenvalues=_frozen(eigenvalues),
+        eigenvalues=eigenvalues,
         rank=rank,
         n_axes=n_axes,
-        axis_basis=_frozen(Z),
-        principal_axes=_frozen(Z * s),
-        component_basis=_frozen(L),
-        principal_components=_frozen(L * s),
+        axis_basis=Z,
+        principal_axes=principal_axes,
+        component_basis=L,
+        principal_components=principal_components,
         inertia=inertia,
-        tie_flags=_tie_flags(eigenvalues),
+        tie_flags=tie_flags,
     )
 
 

@@ -519,11 +519,7 @@ def cca(X1, X2, weights=None) -> MethodResult:
     stack the block-1 and block-2 coefficient matrices.
 
     Extras: ``canonical_correlations``, ``coefficients_1`` (p1 x q),
-    ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q),
-    ``merged_decomposition``: the equivalent merged triple, both blocks
-    side by side under the block-diagonal metric of the two inverse
-    within-block covariances (``inv(Rk).T`` as factors), whose
-    eigenvalues pair as 1 +- rho around 1 and whose inertia is p1 + p2.
+    ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q).
     """
     X1 = _as_float_matrix(X1, "X1")
     X2 = _as_float_matrix(X2, "X2")
@@ -537,10 +533,6 @@ def cca(X1, X2, weights=None) -> MethodResult:
                                hint="reduce dimensionality of the first block")
     X2c, R2i, cross_data = _weighted_qr(X2, w, "block-2 covariance", X1c,
                                         "reduce dimensionality of the second block")
-    p1 = X1c.shape[1]
-    G = np.zeros((p1 + X2c.shape[1],) * 2)
-    G[:p1, :p1], G[p1:, p1:] = R1i.T, R2i.T
-    merged = _decompose_factored(np.hstack([X1c, X2c]), w, G, None)
     # whitening block 2 leaves the cross triple unit weights
     cross = _decompose_factored(cross_data, np.ones(X2c.shape[1]), R1i.T, None)
     rho = np.sqrt(cross.eigenvalues)
@@ -558,6 +550,5 @@ def cca(X1, X2, weights=None) -> MethodResult:
             "coefficients_2": coef2,
             "scores_1": scores1,
             "scores_2": X2c @ coef2,
-            "merged_decomposition": merged,
         },
     )

@@ -105,6 +105,26 @@ class TestRvTriples:
         t2 = make_triple(2.5 * X, np.eye(2), D)
         npt.assert_allclose(rv_triples(t1, t2), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("c", [1.0, 1e100, 1e160, 1e-160])
+    def test_extreme_data_scales(self, c):
+        # both data matrices times c: the products of the trace formula
+        # scale as c**4, so unscaled they overflow or underflow
+        rng = np.random.default_rng(0)
+        X, Y = rng.standard_normal((50, 3)), rng.standard_normal((50, 2))
+        w = np.full(50, 1 / 50)
+        O1, O2 = X @ X.T / 50, Y @ Y.T / 50
+        expected = np.sum(O1 * O2) / np.sqrt(np.sum(O1 * O1) * np.sum(O2 * O2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rv_triples(make_triple(X * c, np.eye(3), w), make_triple(Y * c, np.eye(2), w))
+        npt.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_zero_data_rejected(self):
+        w = np.full(4, 0.25)
+        t = make_triple(np.ones((4, 2)), np.eye(2), w)
+        with pytest.raises(ValueError, match="zero operator"):
+            rv_triples(make_triple(np.zeros((4, 2)), np.eye(2), w), t)
+
     def test_weight_mismatch_rejected(self):
         X = np.ones((4, 2))
         t1 = make_triple(X, np.eye(2), np.eye(4) / 4)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 import scipy.stats
 
@@ -17,6 +18,7 @@ from triptych import (
     chi_square,
     covv,
     decompose,
+    decompose_gram_metric,
     geary,
     layout,
     lda,
@@ -399,6 +401,34 @@ def test_results_ignore_memory_layout(method):
     assert np.array_equal(alt.col_coords, res.col_coords)
 
 
+@pytest.mark.parametrize("case", [*_LAYOUT_CASES, "decompose", "decompose_gram_metric",
+                                  "center_columns"])
+def test_returned_arrays_are_read_only(case):
+    """Every array of a returned decomposition, and a centred triple's
+    data, is read-only: assigning into it raises."""
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((30, 4))
+    Y = X[:, :2] @ rng.standard_normal((2, 3)) + rng.standard_normal((30, 3))
+    N = rng.integers(1, 30, (12, 9))
+    w = rng.uniform(0.5, 2.0, 30)
+    if case == "center_columns":
+        arrays = [center_columns(make_triple(X, np.eye(4), w)).data]
+    else:
+        if case == "decompose":
+            d = decompose(make_triple(X, np.eye(4) + 0.1, w))
+        elif case == "decompose_gram_metric":
+            d = decompose_gram_metric(X, np.outer(Y[:4, 0], Y[:4, 0]) + np.eye(4), w)
+        else:
+            d = _LAYOUT_CASES[case](X, Y, N).decomposition
+        assert d.rank >= 2
+        arrays = [d.eigenvalues, d.axis_basis, d.principal_axes, d.component_basis,
+                  d.principal_components, d.tie_flags]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 class TestLda:
     def test_equal_group_means_rank_zero(self):
         # two groups sharing the global mean: nothing to discriminate
@@ -665,7 +695,31 @@ def test_scree_is_the_decomposition_spectrum(method):
     assert res.scree.rows == want.rows
 
 
+def _merged_triple(X1, X2):
+    """Decomposition of cca's merged triple under uniform weights, built
+    through the public API: both centred blocks side by side under the
+    block-diagonal metric of the two inverse within-block covariances."""
+    n = X1.shape[0]
+    X1c, X2c = X1 - X1.mean(axis=0), X2 - X2.mean(axis=0)
+    Q = scipy.linalg.block_diag(np.linalg.inv(X1c.T @ X1c / n), np.linalg.inv(X2c.T @ X2c / n))
+    return decompose(make_triple(np.hstack([X1c, X2c]), Q, np.full(n, 1.0 / n)))
+
+
 class TestCca:
+    def test_runs_one_svd(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(47)
+        res = cca(rng.standard_normal((40, 3)), rng.standard_normal((40, 4)))
+        assert res.decomposition.rank == 3
+        assert len(calls) == 1
+
     def test_identical_blocks(self):
         rng = np.random.default_rng(48)
         X = rng.standard_normal((10, 3))
@@ -686,8 +740,7 @@ class TestCca:
         assert res.decomposition.rank == 0
         assert res.extras["canonical_correlations"].size == 0
         # merged spectrum collapses onto 1
-        npt.assert_allclose(res.extras["merged_decomposition"].eigenvalues, np.ones(4),
-                            atol=1e-10)
+        npt.assert_allclose(_merged_triple(X1, X2).eigenvalues, np.ones(4), atol=1e-10)
 
     def test_against_classical_eigensolve(self):
         rng = np.random.default_rng(50)
@@ -719,7 +772,7 @@ class TestCca:
         expected = np.sort(np.concatenate([
             1.0 + rho, 1.0 - rho, np.ones(p1 + p2 - 2 * rho.size)
         ]))[::-1]
-        merged = res.extras["merged_decomposition"]
+        merged = _merged_triple(X1, X2)
         npt.assert_allclose(np.sort(merged.eigenvalues)[::-1],
                             expected, rtol=1e-8, atol=1e-10)
         npt.assert_allclose(merged.inertia, p1 + p2, rtol=1e-10)
