@@ -1,19 +1,17 @@
 """Weighted data triples and their generalized eigendecomposition.
 
 The central object is the :class:`Triple`: a data matrix ``X`` (n
-observations by p variables) together with a symmetric positive-definite
-variable metric ``Q`` (p by p) and positive observation weights: a
-length-n vector ``w``, the diagonal of ``D = diag(w)``, which is never
-formed.  Every analysis in this package reduces to the generalized
-eigendecomposition of such a triple, computed by one core routine:
-factor the metric as ``G.T @ G = Q``, take the singular value
-decomposition of ``sqrt(w)[:, None] * X @ G.T``, rescale its left factor
-into the component basis and recover the axis basis through the
-transition identity below.  Signs are fixed on the axis basis.  The two
-public entry points differ only in how they factor the metric:
-:func:`decompose` by Cholesky of a positive-definite ``Q``,
-:func:`decompose_gram_metric` by eigendecomposition of a semidefinite
-one.
+observations by p variables) together with a factor ``G`` of the
+variable metric ``Q = G.T @ G`` (p by p) and positive observation
+weights: a length-n vector ``w``, the diagonal of ``D = diag(w)``, which
+is never formed.  Every analysis in this package reduces to the
+generalized eigendecomposition of such a triple, computed by one routine,
+:func:`decompose`: take the singular value decomposition of
+``sqrt(w)[:, None] * X @ G.T``, rescale its left factor into the
+component basis and recover the axis basis through the transition
+identity below.  Signs are fixed on the axis basis.  :func:`make_triple`
+factors a positive-definite ``Q`` by Cholesky, and
+:func:`decompose_gram_metric` a semidefinite one by eigendecomposition.
 
 Two square operators characterize a triple: ``V @ Q`` acting on variable
 space and ``W @ D`` acting on observation space, where ``V = X.T @ D @ X``
@@ -138,26 +136,35 @@ def _semidefinite_factor(M: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Triple:
-    """A data matrix with its variable metric and observation weights.
+    """A data matrix with its variable metric factor and observation weights.
 
     Parameters
     ----------
     data : (n, p) ndarray
         Observations in rows, variables in columns.
-    metric : (p, p) ndarray
-        Symmetric positive-definite inner product on variable space.
+    factor : (m, p) or (p,) ndarray
+        A factor ``G`` of the inner product ``Q = G.T @ G`` on variable
+        space; a 1-D ``G`` stands for the diagonal factor ``diag(G)``.
     weights : (n,) ndarray
         Positive observation weights: the diagonal of the inner product
         ``D = diag(weights)`` on observation space.
 
-    Instances are immutable: the stored arrays are read-only copies.
-    Construct through :func:`make_triple`, which validates shapes,
-    symmetry and definiteness.
+    Instances are immutable.  :func:`make_triple` validates shapes,
+    symmetry and definiteness, stores read-only copies and factors ``Q``
+    by Cholesky; the constructor checks nothing.
     """
 
     data: np.ndarray
-    metric: np.ndarray
+    factor: np.ndarray
     weights: np.ndarray
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The metric ``Q = G.T @ G``, as a fresh read-only array."""
+        G = self.factor
+        Q = np.diag(G * G) if G.ndim == 1 else G.T @ G
+        Q.setflags(write=False)
+        return Q
 
     @property
     def n_observations(self) -> int:
@@ -198,6 +205,8 @@ def make_triple(X, Q, D) -> Triple:
     Returns
     -------
     Triple
+        Its factor is the upper-triangular Cholesky factor ``R`` of the
+        symmetrized ``Q`` (``R.T @ R = Q``), the one :func:`decompose` uses.
 
     Raises
     ------
@@ -209,24 +218,22 @@ def make_triple(X, Q, D) -> Triple:
         weight; the message carries its index.
     """
     X, Q, w = _checked_parts(X, Q, D, "Q", "D")
-    # Definiteness is checked up front so errors surface at construction,
-    # not deep inside a later factorization.
-    _cholesky_upper(Q, "Q")
-    Q.setflags(write=False)  # the symmetrized Q is fresh; X and w may be the caller's
-    return Triple(data=_frozen(X), metric=Q, weights=_frozen(w))
+    R = _cholesky_upper(Q, "Q")
+    R.setflags(write=False)  # the factor is fresh; X and w may be the caller's
+    return Triple(data=_frozen(X), factor=R, weights=_frozen(w))
 
 
 def center_columns(t: Triple) -> Triple:
     """Remove the weighted column means from the data matrix.
 
     Subtracts ``w @ X / sum(w)`` from every row, so the returned triple
-    satisfies ``X.T @ w = 0`` in exact arithmetic; metric and weights are
-    unchanged.  Centering an already-centered triple is a no-op.
+    satisfies ``X.T @ w = 0`` in exact arithmetic; metric factor and
+    weights are unchanged.  Centering an already-centered triple is a no-op.
     """
     w = t.weights
     centered = t.data - w @ t.data / w.sum()
     centered.setflags(write=False)
-    return Triple(data=centered, metric=t.metric, weights=t.weights)
+    return Triple(data=centered, factor=t.factor, weights=t.weights)
 
 
 @dataclass(frozen=True)
@@ -304,11 +311,42 @@ def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
                 other[:, j] = -other[:, j]
 
 
-def _decompose_factored(
-    X: np.ndarray, w: np.ndarray, G: np.ndarray, rank_request: int | None,
-) -> Decomposition:
-    """Shared core: ``X`` under positive row weights ``w`` and any metric
-    factor ``G`` (``G.T @ G = Q``); a 1-D ``G`` is scaled into the columns."""
+def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
+    """Generalized eigendecomposition of a triple.
+
+    Reads the data ``X``, the metric factor ``G`` (``G.T @ G = Q``; a 1-D
+    ``G`` is scaled into the columns) and the weight vector ``w``.  With
+    ``K = diag(sqrt(w))``, applied as a row scaling, it takes the singular
+    value decomposition ``K @ X @ G.T = U @ S @ T.T``; the eigenvalues are
+    the squared singular values, the component basis is
+    ``U / sqrt(w)[:, None]`` and the axis basis comes from the transition
+    identity ``X.T @ D @ component_basis / s``.
+    Column signs are fixed by orienting each axis-basis column so its
+    largest-magnitude entry is positive, which makes the output
+    deterministic.
+
+    Parameters
+    ----------
+    t : Triple
+    rank_request : int, optional
+        Keep only the first ``rank_request`` columns of the basis
+        matrices (a reduced-rank analysis).  Must not exceed
+        ``min(n, p)``.  The eigenvalue vector, rank and inertia always
+        describe the full spectrum.
+
+    Returns
+    -------
+    Decomposition
+
+    Raises
+    ------
+    ValueError
+        If ``rank_request`` is negative or exceeds ``min(n, p)``, or if the
+        weighted data, the leading eigenvalue or the inertia overflows.
+    numpy.linalg.LinAlgError
+        If the singular value decomposition fails to converge.
+    """
+    X, G, w = t.data, t.factor, t.weights
     n, p = X.shape
     if rank_request is not None:
         if rank_request < 0:
@@ -362,45 +400,6 @@ def _decompose_factored(
     )
 
 
-def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:
-    """Generalized eigendecomposition of a triple.
-
-    Factors the metric by Cholesky, ``H.T @ H = Q``, and hands the factor
-    and the weight vector ``w`` to the shared core.  With
-    ``K = diag(sqrt(w))``, applied as a row scaling, the core takes the
-    singular value decomposition ``K @ X @ H.T = U @ S @ T.T``; the
-    eigenvalues are the squared singular values, the component basis is
-    ``U / sqrt(w)[:, None]`` and the axis basis comes from the transition
-    identity ``X.T @ D @ component_basis / s`` (equal to ``inv(H) @ T``).
-    Column signs are fixed by orienting each axis-basis column so its
-    largest-magnitude entry is positive, which makes the output
-    deterministic.
-
-    Parameters
-    ----------
-    t : Triple
-    rank_request : int, optional
-        Keep only the first ``rank_request`` columns of the basis
-        matrices (a reduced-rank analysis).  Must not exceed
-        ``min(n, p)``.  The eigenvalue vector, rank and inertia always
-        describe the full spectrum.
-
-    Returns
-    -------
-    Decomposition
-
-    Raises
-    ------
-    ValueError
-        If ``rank_request`` is negative or exceeds ``min(n, p)``, or if the
-        weighted data, the leading eigenvalue or the inertia overflows.
-    numpy.linalg.LinAlgError
-        If the singular value decomposition fails to converge.
-    """
-    H = _cholesky_upper(t.metric, "Q")
-    return _decompose_factored(t.data, t.weights, H, rank_request)
-
-
 def decompose_gram_metric(
     X: np.ndarray, metric: np.ndarray, weights: np.ndarray,
     rank_request: int | None = None,
@@ -413,18 +412,15 @@ def decompose_gram_metric(
     ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
     instead of a Cholesky; a significantly negative eigenvalue is
     rejected.  ``X``, ``metric`` and ``weights`` are validated as ``X``, ``Q``
-    and ``D`` in :func:`make_triple`.
-    Everything else is the core shared with :func:`decompose`: the same
-    weight-side rescaling, rank cut, transition identity for the axis
-    basis and sign orientation on the axis basis.  ``rank_request`` is
-    validated as there.
+    and ``D`` in :func:`make_triple`; the triple they form with that
+    factor goes to :func:`decompose`.
 
     The strict :func:`make_triple` path intentionally rejects semidefinite
     metrics; this routine is the sanctioned detour for metrics that are
     semidefinite by construction rather than by data error.
     """
     X, metric, w = _checked_parts(X, metric, weights, "metric", "weights")
-    return _decompose_factored(X, w, _semidefinite_factor(metric, "metric"), rank_request)
+    return decompose(Triple(X, _semidefinite_factor(metric, "metric"), w), rank_request)
 
 
 @dataclass(frozen=True)

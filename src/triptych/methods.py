@@ -1,10 +1,10 @@
 """Classical multivariate methods as triple constructors.
 
-Each method here builds the data matrix, a factor of the variable metric
-and the observation weights appropriate to its question, hands them to
-the shared eigendecomposition in :mod:`.linalg`, and packages the output as a
-:class:`MethodResult` with row and column coordinates, the scree of that
-decomposition's spectrum and method-specific extras.
+Each method here builds a :class:`.linalg.Triple` of the data matrix, a
+factor of the variable metric and the observation weights appropriate to
+its question, hands it to :func:`.linalg.decompose`, and packages the
+output as a :class:`MethodResult` with row and column coordinates, the
+scree of that decomposition's spectrum and method-specific extras.
 
 Methods
 -------
@@ -30,10 +30,11 @@ import numpy as np
 
 from .linalg import (
     Decomposition,
+    Triple,
+    decompose,
     # unused here; perfbench/tracing.py rebinds them in this module
-    make_triple, center_columns, decompose, decompose_gram_metric,  # noqa: F401
+    make_triple, center_columns, decompose_gram_metric,  # noqa: F401
     _as_float_matrix,
-    _decompose_factored,
     _frozen,
     _semidefinite_factor,
     _symmetrize,
@@ -229,7 +230,7 @@ def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodRe
             raise ValueError(f"cannot standardize: {name} has zero variance")
         raise ValueError(f"{name} has overflowing variance")
     G = np.sqrt(1.0 / variances) if standardize else np.ones(p)
-    d = _decompose_factored(Xc, w, G, None)
+    d = decompose(Triple(Xc, G, w))
     return MethodResult(
         method="pca",
         decomposition=d,
@@ -280,7 +281,7 @@ def ca(tbl: ContingencyTable) -> MethodResult:
     r = _weight_vector(F.sum(axis=1), F.shape[0], "row masses")
     c = _weight_vector(F.sum(axis=0), F.shape[1], "column masses")
     X = _as_float_matrix(F / np.outer(r, c) - 1.0, "X")
-    d = _decompose_factored(X, r, np.sqrt(c), None)
+    d = decompose(Triple(X, np.sqrt(c), r))
     stat, dof = chi_square(tbl)
     return MethodResult(
         method="ca",
@@ -400,7 +401,7 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
         raise np.linalg.LinAlgError(
             f"covariance split failed numerically (residual {split_residual:.3e})"
         )
-    d = _decompose_factored(means, group_mass, Ri.T, None)
+    d = decompose(Triple(means, Ri.T, group_mass))
     disc = Ri @ (Ri.T @ d.axis_basis)
     return MethodResult(
         method="lda",
@@ -481,7 +482,7 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     Xc, Ri, QtY = _weighted_qr(X, w, "explanatory covariance", Yc)
     A = Ri @ QtY
     R = _symmetrize(A @ Qy @ A.T, "R")
-    d = _decompose_factored(Xc, w, _semidefinite_factor(Qy, "response_metric") @ A.T, q)
+    d = decompose(Triple(Xc, _semidefinite_factor(Qy, "response_metric") @ A.T, w), q)
     if q is not None and q > d.rank:
         raise ValueError(f"requested rank {q} exceeds the attainable rank {d.rank}")
     Zq = d.axis_basis
@@ -534,7 +535,7 @@ def cca(X1, X2, weights=None) -> MethodResult:
     X2c, R2i, cross_data = _weighted_qr(X2, w, "block-2 covariance", X1c,
                                         "reduce dimensionality of the second block")
     # whitening block 2 leaves the cross triple unit weights
-    cross = _decompose_factored(cross_data, np.ones(X2c.shape[1]), R1i.T, None)
+    cross = decompose(Triple(cross_data, R1i.T, np.ones(X2c.shape[1])))
     rho = np.sqrt(cross.eigenvalues)
     coef1 = R1i @ (R1i.T @ cross.axis_basis)
     coef2 = R2i @ cross.component_basis

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg.lapack
 
 from triptych import (
     NotPositiveDefiniteError,
@@ -70,6 +71,32 @@ class TestMakeTriple:
         Q = np.array([[2.0, 0.3 + 1e-13], [0.3, 2.0]])
         t = make_triple(np.ones((3, 2)), Q, np.eye(3))
         npt.assert_array_equal(t.metric, t.metric.T)
+
+    def test_one_cholesky_from_make_triple_to_decompose(self, monkeypatch):
+        calls = []
+        real_dpotrf = scipy.linalg.lapack.dpotrf
+
+        def counting_dpotrf(*args, **kwargs):
+            calls.append(1)
+            return real_dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_dpotrf)
+        rng = np.random.default_rng(55)
+        decompose(make_triple(rng.standard_normal((9, 4)), random_spd(rng, 4),
+                              rng.uniform(0.2, 2.0, 9)))
+        assert len(calls) == 1
+
+    def test_metric_is_the_factor_product(self):
+        rng = np.random.default_rng(56)
+        Q = random_spd(rng, 6)
+        Q[0, 1] += 1e-13
+        t = make_triple(rng.standard_normal((9, 6)), Q, np.ones(9))
+        M = t.metric
+        npt.assert_array_equal(M, M.T)
+        with pytest.raises(ValueError):
+            M[0, 0] = 5.0
+        sym = (Q + Q.T) / 2
+        assert np.max(np.abs(M - sym)) <= 4 * np.finfo(float).eps * np.max(np.abs(sym))
 
     def test_arrays_immutable(self):
         t = make_triple(np.ones((2, 2)), np.eye(2), np.eye(2))

@@ -7,11 +7,13 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.stats
 
+import triptych.methods
 from triptych import (
     ContingencyTable,
     GroupCoding,
     NotPositiveDefiniteError,
     ScreeTable,
+    Triple,
     ca,
     cca,
     center_columns,
@@ -673,9 +675,10 @@ class TestLdaPcaivEquivalence:
         )
 
 
-@pytest.mark.parametrize("method", ["pca", "ca", "lda", "pcaiv", "cca",
-                                    "regress_on_covariates"])
-def test_scree_is_the_decomposition_spectrum(method):
+_TRIPLE_METHODS = ["pca", "ca", "lda", "pcaiv", "cca", "regress_on_covariates"]
+
+
+def _run_method(method):
     rng = np.random.default_rng(54)
     X, Y = rng.standard_normal((30, 3)), rng.standard_normal((30, 2))
     u, v = ring_with_chords(rng, 30).T
@@ -689,10 +692,33 @@ def test_scree_is_the_decomposition_spectrum(method):
         "cca": lambda: cca(X, Y),
         "regress_on_covariates": lambda: regress_on_covariates(make_graph(M), X, k=2),
     }
-    res = run[method]()
+    return run[method]()
+
+
+@pytest.mark.parametrize("method", _TRIPLE_METHODS)
+def test_scree_is_the_decomposition_spectrum(method):
+    res = _run_method(method)
     assert len(res.scree) > 0
     want = ScreeTable.from_eigenvalues(res.decomposition.eigenvalues)
     assert res.scree.rows == want.rows
+
+
+@pytest.mark.parametrize("method", _TRIPLE_METHODS)
+def test_one_decompose_call(method, monkeypatch):
+    """Every method builds one triple and reaches the core through the
+    public ``decompose``, the name the benchmark's tracer rebinds."""
+    calls = []
+    real_decompose = triptych.methods.decompose
+
+    def counting_decompose(t, *args, **kwargs):
+        assert isinstance(t, Triple)
+        calls.append(real_decompose(t, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(triptych.methods, "decompose", counting_decompose)
+    res = _run_method(method)
+    assert len(calls) == 1
+    assert res.decomposition is calls[0]
 
 
 def _merged_triple(X1, X2):
