@@ -318,7 +318,7 @@ def _cmd_graph_regress(args) -> int:
     }
     code = _emit(args, result, [args.edges, args.table],
                  g.node_labels, ds.col_labels, extra)
-    if args.axes is None and code == 0:
+    if args.axes is None:
         print("explained share per graph eigenvector: "
               + " ".join(f"{s:.4f}" for s in share))
     return code
@@ -342,9 +342,10 @@ def run_command(argv) -> int:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "axes", None) is not None and args.axes < 1:
-        print("error: --axes must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("axes", "k"):
+        if (value := getattr(args, flag, None)) is not None and value < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return 2
     if args.command == "layout" and args.axes not in (None, 2):
         print("error: layout is planar; --axes must be 2", file=sys.stderr)
         return 2

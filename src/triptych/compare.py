@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Triple, _as_float_matrix
+from .scree import _checked_eigenvalues
 
 __all__ = ["covv", "rv", "rv_triples", "rv_max"]
 
@@ -102,19 +103,11 @@ def rv_max(eigenvalues, q: int) -> float:
     Parameters
     ----------
     eigenvalues : array_like
-        Nonincreasing nonnegative spectrum.
+        Finite, nonnegative, nonincreasing spectrum.
     q : int
         Approximation rank, between 1 and ``len(eigenvalues)``.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1:
-        raise ValueError("eigenvalues must be a vector")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("eigenvalues contain non-finite entries")
-    if np.any(lam < 0):
-        raise ValueError("eigenvalues must be nonnegative")
-    if np.any(np.diff(lam) > 0):
-        raise ValueError("eigenvalues must be nonincreasing")
+    lam = _checked_eigenvalues(eigenvalues)
     if not 1 <= q <= lam.shape[0]:
         raise ValueError(f"q must be in [1, {lam.shape[0]}], got {q}")
     total = np.sum(lam**2)

@@ -204,15 +204,13 @@ def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
 
 def _covariates(g: Graph, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] != g.n_nodes:
+    if X.ndim not in (1, 2) or X.shape[0] != g.n_nodes:
         raise ValueError(
             f"covariates must have one row per node ({g.n_nodes}), got shape {X.shape}"
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("covariates contain non-finite entries")
-    return X
+    return X if X.ndim == 2 else X[:, None]
 
 
 def _edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
@@ -241,14 +239,12 @@ def local_variance(g: Graph, X) -> np.ndarray:
 def geary(g: Graph, x) -> float:
     """Generalized Geary ratio x'(Dg - M)x / x'Dg x of a node vector.
 
-    Zero for the constant vector; equals mu when x is an eigenvector of
-    the graph eigenproblem (a Rayleigh quotient).
+    x must be finite.  Zero for the constant vector; equals mu when x is an
+    eigenvector of the graph eigenproblem (a Rayleigh quotient).
     """
     if g.total_degree == 0:
         raise ValueError("geary needs at least one edge")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != g.n_nodes:
-        raise ValueError(f"x must have length {g.n_nodes}, got {x.shape[0]}")
+    x = _covariates(g, np.ravel(x))[:, 0]
     if not np.any(x):
         raise ValueError("geary is undefined for the zero vector")
     num = np.sum(_edge_differences(g, x) ** 2)
@@ -442,9 +438,9 @@ def regress_on_covariates(g: Graph, X, k: int, q: int | None = None) -> MethodRe
     ``explained_share``: per response eigenvector, the fraction of its
     (uniform-weight) variance reproduced by the covariates.
     """
+    X = _covariates(g, X)
     sp = spectrum(g, k=k)
     Y = np.asarray(sp.vectors)
-    X = _covariates(g, X)
     res = pcaiv(X, Y, q=q)
     Yc = Y - np.mean(Y, axis=0)
     fitted = res.extras["fitted_responses"]

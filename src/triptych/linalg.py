@@ -175,17 +175,21 @@ class Triple:
         return self.data.shape[1]
 
 
+def _checked_metric(Q, p: int, name: str, block: str = "X") -> np.ndarray:
+    """``Q`` as a finite symmetric metric on the ``p`` columns of ``block``;
+    its shape is checked before its symmetry."""
+    Q = _as_float_matrix(Q, name)
+    if Q.shape != (p, p):
+        raise ValueError(f"{name} must be {p}x{p} to match {block} with {p} columns, "
+                         f"got {Q.shape}")
+    return _symmetrize(Q, name)
+
+
 def _checked_parts(X, Q, D, q_name: str, d_name: str):
     """``(X, Q, w)`` validated as a triple's parts: a finite data matrix, a
     finite symmetric metric sized to its columns and positive weights."""
     X = _as_float_matrix(X, "X")
-    Q = _as_float_matrix(Q, q_name)
-    n, p = X.shape
-    if Q.shape != (p, p):
-        raise ValueError(
-            f"{q_name} must be {p}x{p} to match X with {p} columns, got {Q.shape}"
-        )
-    return X, _symmetrize(Q, q_name), _weight_vector(D, n, d_name)
+    return X, _checked_metric(Q, X.shape[1], q_name), _weight_vector(D, X.shape[0], d_name)
 
 
 def make_triple(X, Q, D) -> Triple:

@@ -35,6 +35,7 @@ from .linalg import (
     # unused here; perfbench/tracing.py rebinds them in this module
     make_triple, center_columns, decompose_gram_metric,  # noqa: F401
     _as_float_matrix,
+    _checked_metric,
     _frozen,
     _semidefinite_factor,
     _symmetrize,
@@ -60,8 +61,21 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.full(n, 1.0 / n)
     w = _weight_vector(weights, n, "weights")
+    with np.errstate(over="ignore"):
+        total = np.sum(w)
+    if total == np.inf:
+        raise ValueError("the sum of the weights overflows; rescale the weights")
     # a weight that underflows in the rescaling is rejected, not kept as 0
-    return _weight_vector(w / np.sum(w), n, "weights")
+    return _weight_vector(w / total, n, "weights")
+
+
+def _row_blocks(A, B, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Two finite blocks that describe the same rows, and their row count."""
+    A, B = _as_float_matrix(A, a_name), _as_float_matrix(B, b_name)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"{a_name} and {b_name} must have equal row counts, "
+                         f"got {A.shape[0]} and {B.shape[0]}")
+    return A, B, A.shape[0]
 
 
 class ContingencyTable:
@@ -379,11 +393,7 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     """
     if not isinstance(groups, GroupCoding):
         groups = GroupCoding.from_labels(groups)
-    X = _as_float_matrix(X, "X")
-    Y = groups.indicator
-    n = X.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError(f"groups describe {Y.shape[0]} rows, data has {n}")
+    X, Y, n = _row_blocks(X, groups.indicator, "X", "groups")
     g = Y.shape[1]
     if g < 2:
         raise ValueError("lda needs at least two groups")
@@ -461,24 +471,13 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     X R X' D = F Qy F' D, never formed), ``fitted_responses`` (F, the
     projection of Y onto the column space of X), ``response_metric``.
     """
-    X = _as_float_matrix(X, "X")
-    Y = _as_float_matrix(Y, "Y")
-    n = X.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError(f"X and Y must have equal row counts, got {n} and {Y.shape[0]}")
+    X, Y, n = _row_blocks(X, Y, "X", "Y")
     if q is not None and q < 1:
         raise ValueError("q must be at least 1")
     w = _normalized_weights(weights, n)
     Yc = Y - w @ Y
-    if response_metric is None:
-        Qy = np.eye(Y.shape[1])
-    else:
-        Qy = _symmetrize(_as_float_matrix(response_metric, "response_metric"),
-                         "response_metric")
-        if Qy.shape != (Y.shape[1], Y.shape[1]):
-            raise ValueError(
-                f"response_metric must be {Y.shape[1]}x{Y.shape[1]}, got {Qy.shape}"
-            )
+    Qy = (np.eye(Y.shape[1]) if response_metric is None
+          else _checked_metric(response_metric, Y.shape[1], "response_metric", "Y"))
     Xc, Ri, QtY = _weighted_qr(X, w, "explanatory covariance", Yc)
     A = Ri @ QtY
     R = _symmetrize(A @ Qy @ A.T, "R")
@@ -522,13 +521,7 @@ def cca(X1, X2, weights=None) -> MethodResult:
     Extras: ``canonical_correlations``, ``coefficients_1`` (p1 x q),
     ``coefficients_2`` (p2 x q), ``scores_1``, ``scores_2`` (n x q).
     """
-    X1 = _as_float_matrix(X1, "X1")
-    X2 = _as_float_matrix(X2, "X2")
-    n = X1.shape[0]
-    if X2.shape[0] != n:
-        raise ValueError(
-            f"blocks must have equal row counts, got {n} and {X2.shape[0]}"
-        )
+    X1, X2, n = _row_blocks(X1, X2, "X1", "X2")
     w = _normalized_weights(weights, n)
     X1c, R1i, _ = _weighted_qr(X1, w, "block-1 covariance",
                                hint="reduce dimensionality of the first block")

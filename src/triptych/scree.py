@@ -9,6 +9,20 @@ import numpy as np
 __all__ = ["ScreeRow", "ScreeTable"]
 
 
+def _checked_eigenvalues(eigenvalues) -> np.ndarray:
+    """A spectrum as a finite, nonnegative, nonincreasing float vector."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError("eigenvalues must be a vector")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues contain non-finite entries")
+    if np.any(lam < 0):
+        raise ValueError("eigenvalues must be nonnegative")
+    if np.any(np.diff(lam) > 0):
+        raise ValueError("eigenvalues must be nonincreasing")
+    return lam
+
+
 @dataclass(frozen=True)
 class ScreeRow:
     index: int          # 1-based axis number
@@ -29,13 +43,9 @@ class ScreeTable:
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "ScreeTable":
-        lam = np.asarray(eigenvalues, dtype=float)
-        if lam.ndim != 1:
-            raise ValueError("eigenvalues must be a vector")
+        lam = _checked_eigenvalues(eigenvalues)
         if lam.size == 0:
             return cls(rows=())
-        if np.any(np.diff(lam) > 0):
-            raise ValueError("eigenvalues must be nonincreasing")
         total = float(np.sum(lam))
         if total <= 0.0:
             raise ValueError("total inertia must be positive for a scree table")

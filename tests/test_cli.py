@@ -654,6 +654,11 @@ class TestGraphCommands:
         assert "disconnected" in err
         assert "per_component" not in err
 
+    def test_graph_regress_k_checked_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert run_command(["graph-regress", missing, missing, "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: --k must be at least 1\n"
+
     def test_graph_regress_axes_zero_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "net.csv"
         edges.write_text("a,b\nb,c\nc,d\nd,a\na,c\n")

@@ -313,7 +313,8 @@ class TestGeary:
         g = path_graph(3)
         with pytest.raises(ValueError, match="zero vector"):
             geary(g, np.zeros(3))
-        with pytest.raises(ValueError, match="length 3"):
+        with pytest.raises(ValueError,
+                           match=r"covariates must have one row per node \(3\), got shape \(4,\)"):
             geary(g, np.ones(4))
         with pytest.raises(ValueError, match="edge"):
             geary(make_graph(np.zeros((2, 2))), np.ones(2))
@@ -341,6 +342,21 @@ class TestClassicalGeary:
         X = np.column_stack([np.arange(4.0), np.full(4, 2.0)])
         with pytest.raises(ValueError, match="column 1"):
             classical_geary(g, X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("covariate_function", [
+    local_variance, classical_geary, local_covariance, geary,
+    lambda g, x: regress_on_covariates(g, x, k=2),
+], ids=["local_variance", "classical_geary", "local_covariance", "geary",
+        "regress_on_covariates"])
+def test_non_finite_covariates_rejected_alike(covariate_function, bad):
+    x = np.array([1.0, 2.0, 4.0, 3.0, 5.0, 0.0])
+    x[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^covariates contain non-finite entries$"):
+            covariate_function(sparse_graph(6, ring_edges(6)), x)
 
 
 class TestLocalCovariance:
@@ -722,6 +738,15 @@ class TestRegressOnCovariates:
         v = spectrum(g, k=1).vectors[:, 0]
         r = np.corrcoef(x, v)[0, 1]
         npt.assert_allclose(res.extras["explained_share"][0], r**2, rtol=1e-10)
+
+    def test_covariates_checked_before_the_eigensolve(self, monkeypatch):
+        calls = []
+        real = triptych.graph.spectrum
+        monkeypatch.setattr(triptych.graph, "spectrum",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        with pytest.raises(ValueError, match="covariates contain non-finite entries"):
+            regress_on_covariates(path_graph(5), [0.0, 1.0, np.nan, 3.0, 4.0], k=2)
+        assert calls == []
 
     def test_constant_covariate_rejected(self):
         g = path_graph(5)

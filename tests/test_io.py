@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from triptych import (
     read_edges,
     read_table,
     read_weights,
+    rv_max,
     write_coordinates,
     write_manifest,
     write_scree,
@@ -220,6 +223,19 @@ class TestScreeTable:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             ScreeTable.from_eigenvalues([1.0, 2.0])
+
+    @pytest.mark.parametrize("lam, message", [
+        ([1.0, np.nan], "eigenvalues contain non-finite entries"),
+        ([np.inf, 1.0], "eigenvalues contain non-finite entries"),
+        ([2.0, -1.0], "eigenvalues must be nonnegative"),
+        ([1.0, 2.0], "eigenvalues must be nonincreasing"),
+    ], ids=["nan", "inf", "negative", "increasing"])
+    def test_bad_spectrum_rejected_as_rv_max_rejects_it(self, lam, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (ScreeTable.from_eigenvalues, lambda lam: rv_max(lam, 1)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    check(lam)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -116,6 +117,13 @@ class TestPca:
         X = np.random.default_rng(33).standard_normal((4, 3))
         with pytest.raises(ValueError, match=named):
             pca(X, weights=weights)
+
+    def test_weight_sum_that_overflows_rejected(self):
+        X = np.random.default_rng(33).standard_normal((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the sum of the weights overflows"):
+                pca(X, weights=[1e308, 1e308, 1.0, 1.0])
 
     def test_zero_variance_column_named(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -514,7 +522,8 @@ class TestLda:
             lda(np.eye(3), ["same", "same", "same"])
 
     def test_coding_of_another_row_count_rejected(self):
-        with pytest.raises(ValueError, match="groups describe 4 rows, data has 5"):
+        with pytest.raises(ValueError,
+                           match="X and groups must have equal row counts, got 5 and 4"):
             lda(np.ones((5, 2)), ["a", "b", "a", "b"])
 
     def test_accepts_prebuilt_coding(self):
@@ -648,9 +657,17 @@ class TestPcaiv:
 
     def test_response_metric_of_another_size_rejected(self):
         rng = np.random.default_rng(46)
-        with pytest.raises(ValueError, match=r"response_metric must be 2x2, got \(3, 3\)"):
+        with pytest.raises(ValueError, match=r"response_metric must be 2x2 to match Y "
+                                             r"with 2 columns, got \(3, 3\)"):
             pcaiv(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
                   response_metric=np.eye(3))
+
+    def test_non_square_response_metric_rejected_by_its_shape(self):
+        rng = np.random.default_rng(46)
+        with pytest.raises(ValueError, match=r"response_metric must be 2x2 to match Y "
+                                             r"with 2 columns, got \(2, 3\)"):
+            pcaiv(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)),
+                  response_metric=np.ones((2, 3)))
 
 
 class TestLdaPcaivEquivalence:
