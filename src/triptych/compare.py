@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Triple, _as_float_matrix
+from .linalg import Triple, _as_float_matrix, _binary_exponent
 from .scree import _checked_eigenvalues
 
 __all__ = ["covv", "rv", "rv_triples", "rv_max"]
@@ -98,7 +98,9 @@ def rv_max(eigenvalues, q: int) -> float:
     For a decomposition with eigenvalues ``lam`` the optimum is
     ``sqrt(sum(lam[:q]**2) / sum(lam**2))``, attained by the operator
     built from the leading ``q`` eigenvectors scaled so their weighted
-    cross-product reproduces the leading eigenvalue block.
+    cross-product reproduces the leading eigenvalue block.  It is
+    computed on the spectrum scaled by a power of two, so it is defined
+    at any scale.
 
     Parameters
     ----------
@@ -110,6 +112,7 @@ def rv_max(eigenvalues, q: int) -> float:
     lam = _checked_eigenvalues(eigenvalues)
     if not 1 <= q <= lam.shape[0]:
         raise ValueError(f"q must be in [1, {lam.shape[0]}], got {q}")
+    lam = np.ldexp(lam, -_binary_exponent(lam))  # the ratio is scale-free
     total = np.sum(lam**2)
     if total == 0.0:
         raise ValueError("rv_max is undefined for an all-zero spectrum")

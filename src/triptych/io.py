@@ -14,6 +14,7 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,14 +56,19 @@ def _sniff_delimiter(line: str, forced: str | None) -> str:
     raise ValueError("could not detect delimiter (no tab or comma in first line)")
 
 
+def _nonblank_rows(fh, path: str, delimiter: str | None):
+    """The sniffed delimiter, and the csv rows of ``fh`` that have a non-blank cell."""
+    first = fh.readline()
+    if not first.strip():
+        raise ValueError(f"{path}: empty file")
+    sep = _sniff_delimiter(first, delimiter)
+    fh.seek(0)
+    return sep, (row for row in csv.reader(fh, delimiter=sep) if any(c.strip() for c in row))
+
+
 def _read_rows(path: str, delimiter: str | None) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty file")
-        sep = _sniff_delimiter(first, delimiter)
-        fh.seek(0)
-        rows = [row for row in csv.reader(fh, delimiter=sep) if any(c.strip() for c in row)]
+        rows = list(_nonblank_rows(fh, path, delimiter)[1])
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
@@ -79,6 +85,36 @@ def read_table(path: str, delimiter: str | None = None) -> Dataset:
     0/1 by :class:`~triptych.methods.GroupCoding`.  Edge lists have
     their own reader, :func:`read_edges`.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        sep, rows = _nonblank_rows(fh, path, delimiter)
+        header = next(rows, [])
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        row_labels: list[str] = []
+        data = None
+        if len(header) >= 2 and first is not None:
+            # numpy's reader parses a cell as float() does or refuses it
+            # (underscores, non-ASCII digits), and refuses blank-celled
+            # lines and ragged rows.  Such a file, or one with a
+            # non-finite cell, goes through the csv walk, which reads it
+            # or names what is wrong.
+            try:
+                data = np.loadtxt(
+                    chain([first], fh), delimiter=sep, quotechar='"', comments=None,
+                    ndmin=2, dtype=float,
+                    converters={0: lambda cell: row_labels.append(cell.strip()) or 0.0},
+                )
+            except ValueError:
+                pass
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        return _read_table_csv(path, delimiter)
+    col_labels = _check_labels([c.strip() for c in header[1:]], len(header) - 1,
+                               "column", "c", path)
+    row_tuple = _check_labels(row_labels, len(row_labels), "row", "r", path)
+    return Dataset(matrix=data[:, 1:].copy(), row_labels=row_tuple, col_labels=col_labels)
+
+
+def _read_table_csv(path: str, delimiter: str | None) -> Dataset:
+    """:func:`read_table` by a walk over the ``csv`` rows, which names what is wrong."""
     rows = _read_rows(path, delimiter)
     header = rows[0]
     if len(header) < 2:
@@ -175,12 +211,14 @@ def read_weights(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, lines) -> None:
+    """Write each of ``lines`` and a newline to a temporary file, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -188,19 +226,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_scree(path: str, scree) -> None:
     """Full-precision TSV of a ScreeTable."""
-    lines = ["axis\teigenvalue\tinertia_pct\tcumulative_pct"]
-    for row in scree:
-        lines.append(
-            f"{row.index}\t{_fmt(row.eigenvalue)}\t"
-            f"{_fmt(row.inertia_pct)}\t{_fmt(row.cumulative_pct)}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = ("%s\t%.17g\t%.17g\t%.17g" % (r.index, r.eigenvalue, r.inertia_pct, r.cumulative_pct)
+            for r in scree)
+    _atomic_write(path, chain(["axis\teigenvalue\tinertia_pct\tcumulative_pct"], rows))
 
 
 def write_coordinates(path: str, labels, coords, axis_names=None) -> None:
@@ -212,13 +242,12 @@ def write_coordinates(path: str, labels, coords, axis_names=None) -> None:
         )
     if axis_names is None:
         axis_names = [f"axis_{j + 1}" for j in range(coords.shape[1])]
-    lines = ["label\t" + "\t".join(axis_names)]
-    for lab, row in zip(labels, coords):
-        lines.append(str(lab) + "\t" + "\t".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # One %-format per row gives format(x, ".17g") for each value.
+    row_format = "\t".join(["%.17g"] * coords.shape[1])
+    rows = (str(lab) + "\t" + row_format % tuple(r.tolist()) for lab, r in zip(labels, coords))
+    _atomic_write(path, chain(["label\t" + "\t".join(axis_names)], rows))
 
 
 def write_manifest(path: str, entries: dict) -> None:
     """Plain key: value run manifest."""
-    lines = [f"{key}: {value}" for key, value in entries.items()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, (f"{key}: {value}" for key, value in entries.items()))

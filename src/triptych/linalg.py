@@ -81,6 +81,16 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binary_exponent(a) -> int:
+    """The exponent e of max|a| = m * 2**e with 0.5 <= m < 1 (0 for no nonzero entry).
+
+    ``np.ldexp(a, -e)`` lies in (-1, 1) and is exact unless an entry
+    underflows, so a scale-free formula (a share, a ratio) gives the same
+    bits on the scaled array, and it cannot overflow there.
+    """
+    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+
+
 def _symmetrize(M: np.ndarray, name: str) -> np.ndarray:
     """Average ``M`` with its transpose; reject if visibly asymmetric."""
     scale = np.max(np.abs(M)) if M.size else 0.0

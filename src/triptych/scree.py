@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _binary_exponent
+
 __all__ = ["ScreeRow", "ScreeTable"]
 
 
@@ -36,7 +38,9 @@ class ScreeTable:
     """Eigenvalue / inertia% / cumulative% report for a decomposition.
 
     Percentages are taken against the sum of the listed eigenvalues, so
-    the final cumulative entry is 100 up to roundoff.
+    the final cumulative entry is 100 up to roundoff.  They are computed
+    on the spectrum scaled by a power of two, so they are defined at any
+    scale; the ``eigenvalue`` column keeps the values as given.
     """
 
     rows: tuple[ScreeRow, ...]
@@ -46,10 +50,11 @@ class ScreeTable:
         lam = _checked_eigenvalues(eigenvalues)
         if lam.size == 0:
             return cls(rows=())
-        total = float(np.sum(lam))
+        unit = np.ldexp(lam, -_binary_exponent(lam))
+        total = float(np.sum(unit))
         if total <= 0.0:
             raise ValueError("total inertia must be positive for a scree table")
-        pct = 100.0 * lam / total
+        pct = 100.0 * unit / total
         cum = np.cumsum(pct)
         return cls(
             rows=tuple(

@@ -202,6 +202,12 @@ class TestRvMax:
         with pytest.raises(ValueError, match="zero"):
             rv_max([0.0, 0.0], 1)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rv_max([scale, scale], 1) == np.sqrt(0.5)
+
     @pytest.mark.parametrize("lam", [[np.inf, 1.0], [2.0, np.nan], [np.nan, np.nan]])
     def test_non_finite_eigenvalues_rejected(self, lam):
         with pytest.raises(ValueError, match="eigenvalues contain non-finite entries"):

@@ -202,6 +202,41 @@ class TestWriters:
         assert not leftovers
 
 
+    # Every float class a writer can meet: signed zero, subnormal, smallest
+    # normal, an inexact decimal, an integer, 1e16 and the largest double.
+    EDGE_VALUES = [1.7976931348623157e308, 1e16, 1.0, 0.1,
+                   2.2250738585072014e-308, 5e-324, 0.0, -0.0]
+
+    def test_values_written_as_format_17g(self, tmp_path):
+        path = str(tmp_path / "x_rows.tsv")
+        write_coordinates(path, ["only"], [self.EDGE_VALUES])
+        expected = "\t".join(format(x, ".17g") for x in self.EDGE_VALUES)
+        assert open(path).read().splitlines()[1] == "only\t" + expected
+        write_coordinates(path, ["a", "b"], np.empty((2, 0)))
+        assert open(path).read() == "label\t\na\t\nb\t\n"
+        write_scree(path, ScreeTable.from_eigenvalues(self.EDGE_VALUES))
+        lines = open(path).read().splitlines()
+        rows = ScreeTable.from_eigenvalues(self.EDGE_VALUES)
+        assert lines[1:] == [
+            "\t".join([str(r.index)] + [format(x, ".17g") for x in
+                                        (r.eigenvalue, r.inertia_pct, r.cumulative_pct)])
+            for r in rows
+        ]
+        assert lines[-1].split("\t")[1] == "-0"
+
+    def test_failed_row_keeps_old_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        path = tmp_path / "x_rows.tsv"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match="no text"):
+            write_coordinates(str(path), ["a", "b", Unprintable()], np.ones((3, 2)))
+        assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x_rows.tsv"]
+
+
 class TestScreeTable:
     def test_empty(self):
         t = ScreeTable.from_eigenvalues([])
@@ -236,6 +271,14 @@ class TestScreeTable:
             for check in (ScreeTable.from_eigenvalues, lambda lam: rv_max(lam, 1)):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     check(lam)
+
+    def test_shares_at_extreme_scale(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(ScreeTable.from_eigenvalues([1e308, 1e308]))
+        assert [r.eigenvalue for r in rows] == [1e308, 1e308]
+        assert [r.inertia_pct for r in rows] == [50.0, 50.0]
+        assert [r.cumulative_pct for r in rows] == [50.0, 100.0]
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError, match="positive"):
