@@ -128,24 +128,18 @@ def _align_rows(ds: Dataset, labels, context: str) -> np.ndarray:
     return ds.matrix[[pos[lab] for lab in labels]]
 
 
-def _print_scree(result: MethodResult) -> None:
-    if len(result.scree):
-        print(result.scree.format())
-    else:
-        print("no positive eigenvalues (rank 0)")
-    print(f"total inertia: {result.decomposition.inertia:.4f}")
-
-
 def _emit(args, result: MethodResult, inputs: list[str],
           row_labels, col_labels, extra_manifest: dict | None = None) -> int:
+    scree = result.scree
     if args.axes is None:
-        _print_scree(result)
+        print(scree.format() if len(scree) else "no positive eigenvalues (rank 0)")
+        print(f"total inertia: {result.decomposition.inertia:.4f}")
         return 0
     q = args.axes
     available = result.row_coords.shape[1]
     if q > available:
         raise ValueError(f"requested {q} axes but only {available} are available")
-    lam = [row.eigenvalue for row in result.scree]
+    lam = result.decomposition.eigenvalues
     if q < len(lam) and lam[q - 1] > 0 and (lam[q - 1] - lam[q]) <= NEAR_TIE_RTOL * lam[q - 1]:
         print(
             f"WARNING: the cut at {q} axes splits a near-tie "
@@ -154,7 +148,7 @@ def _emit(args, result: MethodResult, inputs: list[str],
             file=sys.stderr,
         )
     stem = args.out or os.path.splitext(inputs[0])[0]
-    write_scree(f"{stem}_scree.tsv", result.scree)
+    write_scree(f"{stem}_scree.tsv", scree)
     write_coordinates(f"{stem}_rows.tsv", row_labels, result.row_coords[:, :q])
     write_coordinates(f"{stem}_cols.tsv", col_labels, result.col_coords[:, :q])
     manifest = {
@@ -172,7 +166,7 @@ def _emit(args, result: MethodResult, inputs: list[str],
     if extra_manifest:
         manifest.update(extra_manifest)
     write_manifest(f"{stem}_manifest.txt", manifest)
-    cum = result.scree.rows[q - 1].cumulative_pct
+    cum = scree.rows[q - 1].cumulative_pct
     print(f"kept {q} axes, cumulative inertia {cum:.2f}%")
     print(
         f"wrote {stem}_scree.tsv, {stem}_rows.tsv, {stem}_cols.tsv, {stem}_manifest.txt"

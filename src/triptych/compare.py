@@ -32,14 +32,6 @@ def _operator_pair(O1, O2) -> tuple[np.ndarray, np.ndarray]:
     return O1, O2
 
 
-def _unit_scaled(M: np.ndarray) -> np.ndarray:
-    """``M`` over its largest |entry|: products of such arrays stay in range."""
-    a = np.max(np.abs(M), initial=0.0)
-    if a == 0.0:
-        raise ValueError("rv is undefined for a zero operator")
-    return M / a
-
-
 def covv(O1, O2) -> float:
     """Trace inner product ``trace(O1.T @ O2)`` of two square operators."""
     O1, O2 = _operator_pair(O1, O2)
@@ -52,16 +44,19 @@ def rv(O1, O2) -> float:
 
     Lies in [0, 1] when both operators are positive semidefinite; for
     general matrices the value can be negative and is returned as-is.
-    Each operator is divided by its largest |entry| first, so the sums
-    neither overflow nor underflow at any scale of the operators.
+    Each operator is scaled by a power of two first, which is exact, so the
+    sums neither overflow nor underflow at any scale of the operators.
 
     Raises
     ------
     ValueError
         If either operator is identically zero (the ratio is undefined).
     """
-    O1, O2 = map(_unit_scaled, _operator_pair(O1, O2))
-    return float(np.sum(O1 * O2) / np.sqrt(np.sum(O1 * O1) * np.sum(O2 * O2)))
+    O1, O2 = (np.ldexp(O, -_binary_exponent(O)) for O in _operator_pair(O1, O2))
+    n11, n22 = np.sum(O1 * O1), np.sum(O2 * O2)
+    if n11 == 0.0 or n22 == 0.0:
+        raise ValueError("rv is undefined for a zero operator")
+    return float(np.sum(O1 * O2) / np.sqrt(n11 * n22))
 
 
 def _covv_triples(X1, Q1, X2, Q2, w) -> float:
@@ -75,8 +70,8 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
 
     The triples must describe the same observations: equal row counts and
     identical weight vectors, as both trace formulas weight observation
-    pairs through the common ``D = diag(weights)``.  Each array is divided
-    by its largest |entry| first, which leaves RV unchanged at any scale.
+    pairs through the common ``D = diag(weights)``.  Each array is scaled by
+    a power of two first, which is exact and leaves RV unchanged at any scale.
     """
     if t1.n_observations != t2.n_observations:
         raise ValueError(
@@ -85,7 +80,8 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
         )
     if not np.array_equal(t1.weights, t2.weights):
         raise ValueError("triples must share the same observation weights")
-    X1, Q1, X2, Q2, w = map(_unit_scaled, (t1.data, t1.metric, t2.data, t2.metric, t1.weights))
+    X1, Q1, X2, Q2, w = (np.ldexp(a, -_binary_exponent(a))
+                         for a in (t1.data, t1.metric, t2.data, t2.metric, t1.weights))
     n11, n22 = _covv_triples(X1, Q1, X1, Q1, w), _covv_triples(X2, Q2, X2, Q2, w)
     if n11 == 0.0 or n22 == 0.0:
         raise ValueError("rv is undefined for a zero operator")

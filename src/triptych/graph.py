@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _orient_columns, _tie_flags
+from .linalg import _binary_exponent, _orient_columns, _tie_flags
 from .methods import MethodResult, _check_labels, pcaiv
 
 if TYPE_CHECKING:
@@ -240,13 +240,15 @@ def geary(g: Graph, x) -> float:
     """Generalized Geary ratio x'(Dg - M)x / x'Dg x of a node vector.
 
     x must be finite.  Zero for the constant vector; equals mu when x is an
-    eigenvector of the graph eigenproblem (a Rayleigh quotient).
+    eigenvector of the graph eigenproblem (a Rayleigh quotient).  Computed on
+    x scaled by a power of two, which is exact, so it is defined at any scale.
     """
     if g.total_degree == 0:
         raise ValueError("geary needs at least one edge")
     x = _covariates(g, np.ravel(x))[:, 0]
     if not np.any(x):
         raise ValueError("geary is undefined for the zero vector")
+    x = np.ldexp(x, -_binary_exponent(x))
     num = np.sum(_edge_differences(g, x) ** 2)
     den = np.sum(g.degrees * x * x)
     if den == 0.0:

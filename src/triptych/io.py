@@ -44,31 +44,37 @@ class Dataset:
     col_labels: tuple[str, ...]
 
 
-def _sniff_delimiter(line: str, forced: str | None) -> str:
+def _sniff_delimiter(fh, path: str, forced: str | None) -> str:
+    """``forced``, or the delimiter found in the first line of ``fh``, which is rewound."""
+    first = fh.readline()
+    fh.seek(0)
+    if not first.strip():
+        raise ValueError(f"{path}: empty file")
     if forced is not None:
         if len(forced) != 1:
             raise ValueError(f"delimiter must be a single character, got {forced!r}")
         return forced
-    if "\t" in line:
+    if "\t" in first:
         return "\t"
-    if "," in line:
+    if "," in first:
         return ","
     raise ValueError("could not detect delimiter (no tab or comma in first line)")
 
 
-def _nonblank_rows(fh, path: str, delimiter: str | None):
-    """The sniffed delimiter, and the csv rows of ``fh`` that have a non-blank cell."""
-    first = fh.readline()
-    if not first.strip():
-        raise ValueError(f"{path}: empty file")
-    sep = _sniff_delimiter(first, delimiter)
-    fh.seek(0)
-    return sep, (row for row in csv.reader(fh, delimiter=sep) if any(c.strip() for c in row))
+def _nonblank_rows(fh, path: str, sep: str):
+    """The csv rows of ``fh`` that have a non-blank cell; a row the csv module
+    refuses (a field over its size limit) raises ValueError."""
+    try:
+        for row in csv.reader(fh, delimiter=sep):
+            if any(c.strip() for c in row):
+                yield row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_rows(path: str, delimiter: str | None) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(_nonblank_rows(fh, path, delimiter)[1])
+        rows = list(_nonblank_rows(fh, path, _sniff_delimiter(fh, path, delimiter)))
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
@@ -86,7 +92,8 @@ def read_table(path: str, delimiter: str | None = None) -> Dataset:
     their own reader, :func:`read_edges`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        sep, rows = _nonblank_rows(fh, path, delimiter)
+        sep = _sniff_delimiter(fh, path, delimiter)
+        rows = _nonblank_rows(fh, path, sep)
         header = next(rows, [])
         first = next((line for line in fh if line.strip("\r\n")), None)
         row_labels: list[str] = []

@@ -316,13 +316,12 @@ def _tie_flags(lam: np.ndarray) -> np.ndarray:
 def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
     """Flip column signs in place so each primary column's largest-magnitude
     entry is positive; linked matrices get the same flips."""
-    for j in range(primary.shape[1]):
-        col = primary[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            primary[:, j] = -col
-            for other in linked:
-                other[:, j] = -other[:, j]
+    if not primary.size:  # argmax refuses a matrix with no rows
+        return
+    lead = np.argmax(np.abs(primary), axis=0)
+    flip = primary[lead, np.arange(primary.shape[1])] < 0
+    for M in (primary, *linked):
+        np.negative(M, out=M, where=flip)
 
 
 def decompose(t: Triple, rank_request: int | None = None) -> Decomposition:

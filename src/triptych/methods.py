@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -35,6 +36,7 @@ from .linalg import (
     # unused here; perfbench/tracing.py rebinds them in this module
     make_triple, center_columns, decompose_gram_metric,  # noqa: F401
     _as_float_matrix,
+    _binary_exponent,
     _checked_metric,
     _frozen,
     _semidefinite_factor,
@@ -57,16 +59,15 @@ __all__ = [
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
-    """Row-weight vector summing to one; uniform 1/n when omitted."""
+    """Row-weight vector summing to one; uniform 1/n when omitted.  Weights
+    are scaled by a power of two first, which is exact, so their sum cannot
+    overflow."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = _weight_vector(weights, n, "weights")
-    with np.errstate(over="ignore"):
-        total = np.sum(w)
-    if total == np.inf:
-        raise ValueError("the sum of the weights overflows; rescale the weights")
+    w = np.ldexp(w, -_binary_exponent(w))
     # a weight that underflows in the rescaling is rejected, not kept as 0
-    return _weight_vector(w / total, n, "weights")
+    return _weight_vector(w / np.sum(w), n, "weights")
 
 
 def _row_blocks(A, B, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -184,7 +185,7 @@ class MethodResult:
         The eigendecomposition of the method's triple.
     scree : ScreeTable
         Eigenvalue / inertia% / cumulative% rows of that decomposition's
-        spectrum, set from it on construction.
+        spectrum, built from it when first read.
     row_coords : ndarray
         One row per observation (or table row), one column per axis.
     col_coords : ndarray
@@ -195,14 +196,13 @@ class MethodResult:
 
     method: str
     decomposition: Decomposition
-    scree: ScreeTable = field(init=False)
     row_coords: np.ndarray
     col_coords: np.ndarray
     extras: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        scree = ScreeTable.from_eigenvalues(self.decomposition.eigenvalues)
-        object.__setattr__(self, "scree", scree)
+    @cached_property
+    def scree(self) -> ScreeTable:
+        return ScreeTable.from_eigenvalues(self.decomposition.eigenvalues)
 
 
 def pca(X, standardize: bool = False, weights=None, col_labels=None) -> MethodResult:

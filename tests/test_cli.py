@@ -84,6 +84,24 @@ class TestBasics:
         assert run_command(["pca", str(bad)]) == 1
         assert "huh" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "id,{big}\nr1,1\nr2,2\n",  # read by the csv module
+        "id,a\n{big},1\nr2,nan\n",  # numpy refuses nan, so the csv walk reads it
+    ], ids=["header", "csv-fallback"])
+    def test_oversized_table_field_named(self, tmp_path, capsys, text):
+        path = tmp_path / "wide.csv"
+        path.write_text(text.format(big="x" * 200_000))
+        assert run_command(["pca", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: field larger than field limit")
+
+    def test_oversized_edge_label_named(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"a,{'b' * 200_000}\nb,c\n")
+        assert run_command(["layout", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: field larger than field limit")
+
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "triptych.cli", "--version"],

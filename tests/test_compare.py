@@ -119,6 +119,26 @@ class TestRvTriples:
             got = rv_triples(make_triple(X * c, np.eye(3), w), make_triple(Y * c, np.eye(2), w))
         npt.assert_allclose(got, expected, rtol=1e-12)
 
+    def test_equals_the_unscaled_trace_formula(self):
+        # scaling by a power of two is exact, so the bits are those of the
+        # trace formula on the triples' own arrays
+        rng = np.random.default_rng(25)
+
+        def covv_triples(X1, Q1, X2, Q2, w):
+            A = Q1 @ (X1.T * w**2) @ X2
+            return np.sum(A * (Q2 @ X2.T @ X1).T)
+
+        for _ in range(20):
+            n, p1, p2 = rng.integers(3, 12), rng.integers(1, 5), rng.integers(1, 5)
+            w = rng.uniform(0.1, 2.0, n)
+            A1, A2 = rng.standard_normal((p1, p1)), rng.standard_normal((p2, p2))
+            t1 = make_triple(rng.standard_normal((n, p1)), A1 @ A1.T + np.eye(p1), w)
+            t2 = make_triple(rng.standard_normal((n, p2)), A2 @ A2.T + np.eye(p2), w)
+            parts1, parts2 = (t1.data, t1.metric), (t2.data, t2.metric)
+            expected = covv_triples(*parts1, *parts2, w) / np.sqrt(
+                covv_triples(*parts1, *parts1, w) * covv_triples(*parts2, *parts2, w))
+            assert rv_triples(t1, t2) == expected
+
     def test_zero_data_rejected(self):
         w = np.full(4, 0.25)
         t = make_triple(np.ones((4, 2)), np.eye(2), w)

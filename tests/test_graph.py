@@ -309,6 +309,14 @@ class TestGeary:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_extreme_scales(self, c):
+        g = cycle_graph(6)
+        x = np.array([1.0, 2.0, 4.0, 3.0, 5.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_allclose(geary(g, x * c), geary(g, x), rtol=1e-12)
+
     def test_errors(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="zero vector"):

@@ -118,12 +118,28 @@ class TestPca:
         with pytest.raises(ValueError, match=named):
             pca(X, weights=weights)
 
-    def test_weight_sum_that_overflows_rejected(self):
+    def test_weights_whose_sum_overflows_normalized(self):
         X = np.random.default_rng(33).standard_normal((4, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^the sum of the weights overflows"):
-                pca(X, weights=[1e308, 1e308, 1.0, 1.0])
+            res = pca(X, weights=[1e308, 1e308, 1.0, 1.0])
+        w = res.extras["weights"]
+        assert w[0] == w[1] == 0.5
+        assert np.all(w > 0)
+        for a in (res.decomposition.eigenvalues, res.row_coords, res.col_coords,
+                  res.extras["column_variances"]):
+            assert np.all(np.isfinite(a))
+        assert res.decomposition.rank == 1
+
+    def test_scree_built_once_when_first_read(self, monkeypatch):
+        calls = []
+        build = ScreeTable.from_eigenvalues
+        monkeypatch.setattr(ScreeTable, "from_eigenvalues",
+                            staticmethod(lambda lam: calls.append(1) or build(lam)))
+        res = pca(np.random.default_rng(34).standard_normal((10, 3)))
+        assert calls == []
+        assert res.scree is res.scree
+        assert len(calls) == 1
 
     def test_zero_variance_column_named(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])

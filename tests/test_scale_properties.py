@@ -1,5 +1,7 @@
-"""Property tests of scale invariance: ca under count scaling, and the RV
-coefficients under scaling one operator or one triple's data.
+"""Property tests of scale invariance: ca under count scaling, the RV
+coefficients under scaling one operator or one triple's data, and, bit for
+bit under a power of two, the RV coefficients, the Geary ratio and the
+weighted methods under scaled weights.
 
 hypothesis is in the ``test`` extra; without it this module is skipped
 and the rest of the suite still runs.
@@ -8,13 +10,18 @@ and the rest of the suite still runs.
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sps
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triptych import ContingencyTable, ca, make_triple, rv, rv_triples  # noqa: E402
+from triptych import (  # noqa: E402
+    ContingencyTable, ca, geary, lda, make_graph, make_triple, pca, rv, rv_triples,
+)
+
+from graph_helpers import ring_with_chords  # noqa: E402
 
 
 def scales(decades):
@@ -76,3 +83,61 @@ def test_rv_triples_is_bounded_and_scale_free(parts, c):
             assert -RV_ATOL <= ref <= 1.0 + 1e-12
         got = rv_triples(make_triple(c * X1, I1, weights), t2)
         npt.assert_allclose(got, ref, rtol=1e-12, atol=RV_ATOL)
+
+
+# Exponents k for which 2**k times the integer-valued data above neither
+# underflows nor overflows, so the scaling is exact.
+exponents = st.integers(-1000, 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    matrices(n, (1, 4)), matrices(n, (1, 4)))), exponents)
+def test_rv_is_bitwise_unchanged_by_a_power_of_two(factors, k):
+    A1, A2 = factors
+    assume(np.any(A1) and np.any(A2))
+    O1, O2 = A1 @ A1.T, A2 @ A2.T
+    assert rv(np.ldexp(O1, k), O2) == rv(O1, O2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(1, 4), st.data(), exponents)
+def test_rv_triples_is_bitwise_unchanged_by_a_power_of_two(n, p1, p2, data, k):
+    X1, X2 = data.draw(matrices(n, p1)), data.draw(matrices(n, p2))
+    A = data.draw(matrices(p1, p1))
+    w = data.draw(matrices(n, 1, low=1, high=9))[:, 0]
+    assume(np.any(X1) and np.any(X2))
+    Q1, I2 = A.T @ A + np.eye(p1), np.eye(p2)
+    t2 = make_triple(X2, I2, w)
+    ref = rv_triples(make_triple(X1, Q1, w), t2)
+    assert rv_triples(make_triple(np.ldexp(X1, k), Q1, w), t2) == ref
+    # the metric's Cholesky factor scales exactly under an even power
+    assert rv_triples(make_triple(X1, np.ldexp(Q1, 2 * (k // 2)), w), t2) == ref
+    wk = np.ldexp(w, k)
+    assert rv_triples(make_triple(X1, Q1, wk), make_triple(X2, I2, wk)) == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.data(), exponents)
+def test_geary_is_bitwise_unchanged_by_a_power_of_two(n, seed, data, k):
+    a, b = ring_with_chords(np.random.default_rng(seed), n).T
+    g = make_graph(sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])),
+                                 shape=(n, n)))
+    x = data.draw(matrices(n, 1))[:, 0]
+    assume(np.any(x))
+    assert geary(g, np.ldexp(x, k)) == geary(g, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(6, 20), st.integers(1, 3), st.integers(0, 2**32 - 1), exponents)
+def test_weighted_methods_are_bitwise_unchanged_by_scaling_weights(n, p, seed, k):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    w = rng.integers(1, 10, n).astype(float)
+    groups = [f"g{i % 2}" for i in range(n)]
+    for run in (lambda v: pca(X, weights=v), lambda v: pca(X, standardize=True, weights=v),
+                lambda v: lda(X, groups, weights=v)):
+        ref, got = run(w), run(np.ldexp(w, k))
+        for a, b in ((ref.decomposition.eigenvalues, got.decomposition.eigenvalues),
+                     (ref.row_coords, got.row_coords), (ref.col_coords, got.col_coords)):
+            npt.assert_array_equal(b, a, strict=True)
