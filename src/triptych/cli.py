@@ -336,12 +336,14 @@ def run_command(argv) -> int:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    for flag in ("axes", "k"):
-        if (value := getattr(args, flag, None)) is not None and value < 1:
-            print(f"error: --{flag} must be at least 1", file=sys.stderr)
-            return 2
+    usage = [f"--{flag} must be at least 1" for flag in ("axes", "k")
+             if (value := getattr(args, flag, None)) is not None and value < 1]
     if args.command == "layout" and args.axes not in (None, 2):
-        print("error: layout is planar; --axes must be 2", file=sys.stderr)
+        usage.append("layout is planar; --axes must be 2")
+    if args.delimiter is not None and len(args.delimiter) != 1:
+        usage.append(f"--delimiter must be a single character, got {args.delimiter!r}")
+    if usage:
+        print(f"error: {usage[0]}", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

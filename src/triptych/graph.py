@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _binary_exponent, _orient_columns, _tie_flags
+from .linalg import _orient_columns, _tie_flags
 from .methods import MethodResult, _check_labels, pcaiv
 
 if TYPE_CHECKING:
@@ -213,12 +213,19 @@ def _covariates(g: Graph, X) -> np.ndarray:
     return X if X.ndim == 2 else X[:, None]
 
 
-def _edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
-    """x_u - x_v for every edge {u, v} with u < v, one row per edge."""
+def _scaled_edges(g: Graph, X, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check for an edge and validate X; return (X, E, e) with column j of X
+    divided by 2**e_j, the power of two of its max |entry| (which is exact),
+    and E its differences x_u - x_v, one row per edge {u, v} with u < v."""
+    if g.total_degree == 0:
+        raise ValueError(f"{name} needs at least one edge")
+    X = _covariates(g, X)
+    e = np.frexp(np.max(np.abs(X), axis=0, initial=0.0))[1]
+    X = np.ldexp(X, -e)
     A = g.csr
     rows = _csr_rows(A)
     upper = rows < A.indices
-    return X[rows[upper]] - X[A.indices[upper]]
+    return X, X[rows[upper]] - X[A.indices[upper]], e
 
 
 def local_variance(g: Graph, X) -> np.ndarray:
@@ -227,13 +234,12 @@ def local_variance(g: Graph, X) -> np.ndarray:
     For column x this is the double sum of adjacency-weighted squared
     differences over ordered node pairs, divided by twice the total
     degree; equivalently x' (Dg - M) x / total_degree.  Summed over the
-    edge list, so it is exactly zero for constant columns.
+    edge list on each column scaled by its own power of two: exactly zero
+    for a constant column, and finite whenever the result is.
     """
-    if g.total_degree == 0:
-        raise ValueError("local variance needs at least one edge")
-    X = _covariates(g, X)
+    _, E, e = _scaled_edges(g, X, "local variance")
     # Each edge is two ordered pairs, cancelling the 1/2 of 1/(2 * total_degree).
-    return np.sum(_edge_differences(g, X) ** 2, axis=0) / g.total_degree
+    return np.ldexp(np.sum(E**2, axis=0) / g.total_degree, 2 * e)
 
 
 def geary(g: Graph, x) -> float:
@@ -243,31 +249,25 @@ def geary(g: Graph, x) -> float:
     eigenvector of the graph eigenproblem (a Rayleigh quotient).  Computed on
     x scaled by a power of two, which is exact, so it is defined at any scale.
     """
-    if g.total_degree == 0:
-        raise ValueError("geary needs at least one edge")
-    x = _covariates(g, np.ravel(x))[:, 0]
+    x, E, _ = _scaled_edges(g, np.ravel(x), "geary")
     if not np.any(x):
         raise ValueError("geary is undefined for the zero vector")
-    x = np.ldexp(x, -_binary_exponent(x))
-    num = np.sum(_edge_differences(g, x) ** 2)
-    den = np.sum(g.degrees * x * x)
+    den = np.sum(g.degrees * x[:, 0] * x[:, 0])
     if den == 0.0:
         raise ValueError("geary is undefined: x is supported only on isolated nodes")
-    return float(num / den)
+    return float(np.sum(E**2) / den)
 
 
 def classical_geary(g: Graph, X) -> np.ndarray:
     """Classical Geary ratio per covariate column: local variance divided
-    by the (uniform-weight) variance of the column."""
-    X = _covariates(g, X)
-    loc = local_variance(g, X)
-    var = np.mean((X - np.mean(X, axis=0)) ** 2, axis=0)
+    by the (uniform-weight) variance, both of the column scaled by its own
+    power of two, so the ratio is the same at any scale."""
+    X, E, _ = _scaled_edges(g, X, "classical geary")
+    var = np.var(X, axis=0)
     dead = np.flatnonzero(var == 0.0)
     if dead.size:
-        raise ValueError(
-            f"classical geary is undefined for constant column {int(dead[0])}"
-        )
-    return loc / var
+        raise ValueError(f"classical geary is undefined for constant column {int(dead[0])}")
+    return np.sum(E**2, axis=0) / g.total_degree / var
 
 
 def local_covariance(g: Graph, X) -> np.ndarray:
@@ -277,14 +277,11 @@ def local_covariance(g: Graph, X) -> np.ndarray:
     formulas differ by that factor, kept as stated).  For a graph of
     disjoint same-size complete groups this matrix is proportional to
     the within-group covariance of a discriminant analysis on those
-    groups.
+    groups.  Computed on each column scaled by its own power of two.
     """
-    if g.total_degree == 0:
-        raise ValueError("local covariance needs at least one edge")
-    X = _covariates(g, X)
-    E = _edge_differences(g, X)
+    _, E, e = _scaled_edges(g, X, "local covariance")
     V = E.T @ E / (2 * g.total_degree)
-    return (V + V.T) / 2.0
+    return np.ldexp((V + V.T) / 2.0, e[:, None] + e)
 
 
 @dataclass(frozen=True)

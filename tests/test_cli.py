@@ -102,6 +102,26 @@ class TestBasics:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: field larger than field limit")
 
+    @pytest.mark.parametrize("delimiter", ["", "ab"], ids=["empty", "two-characters"])
+    def test_delimiter_checked_before_reading(self, tmp_path, capsys, delimiter):
+        ring = write_edges(tmp_path / "ring.csv", ring_edges(6))
+        for path in (ring, tmp_path / "missing.csv"):
+            assert run_command(["layout", str(path), "--delimiter", delimiter]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --delimiter must be a single character, got {delimiter!r}\n")
+
+    @pytest.mark.parametrize("command, text, message", [
+        (["pca"], ",,\n,,\n", "empty file"),
+        (["pca", "--delimiter", ","], "id\nr1\nr2\n",
+         "need at least one data column after the label column"),
+        (["layout"], "source,target\n", "no edges"),
+    ], ids=["blank-cells", "one-column", "header-only-edges"])
+    def test_input_without_data_named(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert run_command([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_entry_point_module(self):
         proc = subprocess.run(
             [sys.executable, "-m", "triptych.cli", "--version"],
@@ -494,6 +514,19 @@ class TestGraphCommands:
         assert line[0] == "val"
         npt.assert_allclose(float(line[1]), 0.5)
         npt.assert_allclose(float(line[4]), 1 / 9, rtol=1e-4)
+
+    def test_geary_ratios_at_any_scale(self, tmp_path, capsys):
+        ring = write_edges(tmp_path / "ring.csv", ring_edges(6))
+        x = [1.0, 2.0, 4.0, 3.0, 5.0, 0.0]
+        lines = []
+        for c in (1.0, 1e-200):
+            table = tmp_path / "nodes.csv"
+            table.write_text("id,x\n" + "".join(f"v{i},{v * c!r}\n" for i, v in enumerate(x)))
+            assert run_command(["geary", str(ring), str(table)]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[1].split("\t"))
+        # classical_ratio and geary_c
+        assert lines[1][3:] == lines[0][3:]
+        assert lines[0][3:] == ["1.02857", "0.327273"]
 
     def test_layout_spectrum_mode(self, path_edges, capsys):
         assert run_command(["layout", str(path_edges)]) == 0

@@ -49,6 +49,10 @@ class TestRv:
         with pytest.raises(ValueError, match="zero"):
             rv(np.zeros((2, 2)), np.eye(2))
 
+    def test_non_square_operators_rejected(self):
+        with pytest.raises(ValueError, match=r"^operators must be square, got \(2, 3\)$"):
+            rv(np.ones((2, 3)), np.ones((2, 3)))
+
     @pytest.mark.parametrize("c1, c2", [(1e200, 1.0), (1e200, 1e200), (1e-200, 1e-200)])
     def test_extreme_scales(self, c1, c2):
         with warnings.catch_warnings():
@@ -144,6 +148,13 @@ class TestRvTriples:
         t = make_triple(np.ones((4, 2)), np.eye(2), w)
         with pytest.raises(ValueError, match="zero operator"):
             rv_triples(make_triple(np.zeros((4, 2)), np.eye(2), w), t)
+
+    def test_observation_count_mismatch_rejected(self):
+        t3 = make_triple(np.ones((3, 2)), np.eye(2), np.ones(3))
+        t4 = make_triple(np.ones((4, 2)), np.eye(2), np.ones(4))
+        with pytest.raises(ValueError,
+                           match="^triples describe different observation counts: 3 vs 4$"):
+            rv_triples(t3, t4)
 
     def test_weight_mismatch_rejected(self):
         X = np.ones((4, 2))

@@ -351,6 +351,30 @@ class TestClassicalGeary:
         with pytest.raises(ValueError, match="column 1"):
             classical_geary(g, X)
 
+    def test_edgeless_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^classical geary needs at least one edge$"):
+            classical_geary(make_graph(np.zeros((3, 3))), np.arange(3.0))
+
+
+@pytest.mark.parametrize("k", [508, -540])
+def test_covariate_statistics_scale_each_column_by_its_own_power_of_two(k):
+    # At 2**508 the squared differences overflow, at 2**-540 they underflow,
+    # unless each column is first scaled by the power of two of its max |entry|.
+    rng = np.random.default_rng(69)
+    g = sparse_graph(1000, ring_with_chords(rng, 1000))
+    X = rng.standard_normal((1000, 3))
+    ks = np.array([k, 0, -k // 2])
+    Xk = np.ldexp(X, ks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        npt.assert_array_equal(classical_geary(g, Xk), classical_geary(g, X), strict=True)
+        assert [geary(g, x) for x in Xk.T] == [geary(g, x) for x in X.T]
+        npt.assert_array_equal(local_variance(g, Xk),
+                               np.ldexp(local_variance(g, X), 2 * ks), strict=True)
+        npt.assert_array_equal(local_covariance(g, Xk),
+                               np.ldexp(local_covariance(g, X), ks[:, None] + ks),
+                               strict=True)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("covariate_function", [

@@ -264,7 +264,8 @@ class TestScreeTable:
         ([np.inf, 1.0], "eigenvalues contain non-finite entries"),
         ([2.0, -1.0], "eigenvalues must be nonnegative"),
         ([1.0, 2.0], "eigenvalues must be nonincreasing"),
-    ], ids=["nan", "inf", "negative", "increasing"])
+        ([[1.0]], "eigenvalues must be a vector"),
+    ], ids=["nan", "inf", "negative", "increasing", "matrix"])
     def test_bad_spectrum_rejected_as_rv_max_rejects_it(self, lam, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

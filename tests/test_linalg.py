@@ -56,6 +56,10 @@ class TestMakeTriple:
         t = make_triple([[1.0, -1.0], [-1.0, 1.0]], np.eye(2), np.eye(2) / 2)
         npt.assert_array_equal(t.data, [[1.0, -1.0], [-1.0, 1.0]])
 
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match="^X must be a 2-D matrix, got ndim=1$"):
+            make_triple(np.ones(3), np.eye(1), np.ones(3))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="Q must be"):
             make_triple(np.ones((3, 2)), np.eye(3), np.eye(3))

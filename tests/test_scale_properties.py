@@ -1,7 +1,8 @@
 """Property tests of scale invariance: ca under count scaling, the RV
 coefficients under scaling one operator or one triple's data, and, bit for
-bit under a power of two, the RV coefficients, the Geary ratio and the
-weighted methods under scaled weights.
+bit under a power of two, the RV coefficients, the Geary ratios, the local
+variance and covariance of node covariates and the weighted methods under
+scaled weights.
 
 hypothesis is in the ``test`` extra; without it this module is skipped
 and the rest of the suite still runs.
@@ -18,7 +19,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from triptych import (  # noqa: E402
-    ContingencyTable, ca, geary, lda, make_graph, make_triple, pca, rv, rv_triples,
+    ContingencyTable, ca, classical_geary, geary, lda, local_covariance, local_variance,
+    make_graph, make_triple, pca, rv, rv_triples,
 )
 
 from graph_helpers import ring_with_chords  # noqa: E402
@@ -117,15 +119,46 @@ def test_rv_triples_is_bitwise_unchanged_by_a_power_of_two(n, p1, p2, data, k):
     assert rv_triples(make_triple(X1, Q1, wk), make_triple(X2, I2, wk)) == ref
 
 
+def ring_graph(n, seed):
+    a, b = ring_with_chords(np.random.default_rng(seed), n).T
+    return make_graph(sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])),
+                                    shape=(n, n)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.data(), exponents)
 def test_geary_is_bitwise_unchanged_by_a_power_of_two(n, seed, data, k):
-    a, b = ring_with_chords(np.random.default_rng(seed), n).T
-    g = make_graph(sps.coo_array((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])),
-                                 shape=(n, n)))
+    g = ring_graph(n, seed)
     x = data.draw(matrices(n, 1))[:, 0]
     assume(np.any(x))
     assert geary(g, np.ldexp(x, k)) == geary(g, x)
+
+
+def _representable(expected):
+    """Entries of an exact power-of-two rescaling that neither overflow nor
+    fall below the normal range, where rescaling could round."""
+    normal = np.abs(expected) >= np.finfo(float).tiny
+    return np.isfinite(expected) & ((expected == 0) | normal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_covariate_statistics_follow_each_columns_power_of_two(n, p, seed, data):
+    g = ring_graph(n, seed)
+    X = data.draw(matrices(n, p))
+    k = np.array(data.draw(st.lists(exponents, min_size=p, max_size=p)))
+    Xk = np.ldexp(X, k)
+    if np.all(np.ptp(X, axis=0) > 0):
+        npt.assert_array_equal(classical_geary(g, Xk), classical_geary(g, X), strict=True)
+    # Where a result is out of range, computing it overflows; those entries
+    # are not compared.
+    with np.errstate(over="ignore", under="ignore"):
+        pairs = ((local_variance(g, Xk), np.ldexp(local_variance(g, X), 2 * k)),
+                 (local_covariance(g, Xk),
+                  np.ldexp(local_covariance(g, X), k[:, None] + k)))
+    for got, want in pairs:
+        keep = _representable(want)
+        npt.assert_array_equal(got[keep], want[keep], strict=True)
 
 
 @settings(max_examples=100, deadline=None)
