@@ -39,7 +39,7 @@ from .io import (
     write_manifest,
     write_scree,
 )
-from .linalg import TIE_RTOL, ZERO_EIGENVALUE_RTOL
+from .linalg import TIE_RTOL, ZERO_EIGENVALUE_RTOL, _unit_scaled
 from .methods import ContingencyTable, GroupCoding, MethodResult, ca, cca, lda, pca, pcaiv
 
 # Relative eigenvalue gap under which an axis cut triggers a WARNING.
@@ -245,12 +245,18 @@ def _cmd_geary(args) -> int:
     ds = read_table(args.table, args.delimiter)
     X = _align_rows(ds, g.node_labels, args.table)
     loc = local_variance(g, X)
-    var = np.mean((X - np.mean(X, axis=0)) ** 2, axis=0)
+    Xs, e = _unit_scaled(X, axis=0)
+    with np.errstate(over="ignore"):
+        var = np.ldexp(np.var(Xs, axis=0), 2 * e)
     classical = classical_geary(g, X)
     general = [geary(g, X[:, j]) for j in range(X.shape[1])]
     print("column\tlocal_variance\tvariance\tclassical_ratio\tgeary_c")
     for j, lab in enumerate(ds.col_labels):
         print(f"{lab}\t{loc[j]:.6g}\t{var[j]:.6g}\t{classical[j]:.6g}\t{general[j]:.6g}")
+        big = [s for s, v in (("local variance", loc[j]), ("variance", var[j])) if v == np.inf]
+        if big:
+            print(f"WARNING: {args.table}: column '{lab}': {' and '.join(big)} "
+                  f"do{'es' * (len(big) == 1)} not fit in a float", file=sys.stderr)
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Triple, _as_float_matrix, _binary_exponent
+from .linalg import Triple, _as_float_matrix, _unit_scaled
 from .scree import _checked_eigenvalues
 
 __all__ = ["covv", "rv", "rv_triples", "rv_max"]
@@ -52,7 +52,7 @@ def rv(O1, O2) -> float:
     ValueError
         If either operator is identically zero (the ratio is undefined).
     """
-    O1, O2 = (np.ldexp(O, -_binary_exponent(O)) for O in _operator_pair(O1, O2))
+    O1, O2 = (_unit_scaled(O)[0] for O in _operator_pair(O1, O2))
     n11, n22 = np.sum(O1 * O1), np.sum(O2 * O2)
     if n11 == 0.0 or n22 == 0.0:
         raise ValueError("rv is undefined for a zero operator")
@@ -80,7 +80,7 @@ def rv_triples(t1: Triple, t2: Triple) -> float:
         )
     if not np.array_equal(t1.weights, t2.weights):
         raise ValueError("triples must share the same observation weights")
-    X1, Q1, X2, Q2, w = (np.ldexp(a, -_binary_exponent(a))
+    X1, Q1, X2, Q2, w = (_unit_scaled(a)[0]
                          for a in (t1.data, t1.metric, t2.data, t2.metric, t1.weights))
     n11, n22 = _covv_triples(X1, Q1, X1, Q1, w), _covv_triples(X2, Q2, X2, Q2, w)
     if n11 == 0.0 or n22 == 0.0:
@@ -108,7 +108,7 @@ def rv_max(eigenvalues, q: int) -> float:
     lam = _checked_eigenvalues(eigenvalues)
     if not 1 <= q <= lam.shape[0]:
         raise ValueError(f"q must be in [1, {lam.shape[0]}], got {q}")
-    lam = np.ldexp(lam, -_binary_exponent(lam))  # the ratio is scale-free
+    lam, _ = _unit_scaled(lam)  # the ratio is scale-free
     total = np.sum(lam**2)
     if total == 0.0:
         raise ValueError("rv_max is undefined for an all-zero spectrum")

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _orient_columns, _tie_flags
+from .linalg import _orient_columns, _tie_flags, _unit_scaled
 from .methods import MethodResult, _check_labels, pcaiv
 
 if TYPE_CHECKING:
@@ -219,9 +219,7 @@ def _scaled_edges(g: Graph, X, name: str) -> tuple[np.ndarray, np.ndarray, np.nd
     and E its differences x_u - x_v, one row per edge {u, v} with u < v."""
     if g.total_degree == 0:
         raise ValueError(f"{name} needs at least one edge")
-    X = _covariates(g, X)
-    e = np.frexp(np.max(np.abs(X), axis=0, initial=0.0))[1]
-    X = np.ldexp(X, -e)
+    X, e = _unit_scaled(_covariates(g, X), axis=0)
     A = g.csr
     rows = _csr_rows(A)
     upper = rows < A.indices
@@ -235,11 +233,12 @@ def local_variance(g: Graph, X) -> np.ndarray:
     differences over ordered node pairs, divided by twice the total
     degree; equivalently x' (Dg - M) x / total_degree.  Summed over the
     edge list on each column scaled by its own power of two: exactly zero
-    for a constant column, and finite whenever the result is.
+    for a constant column, and finite whenever the result is (else inf).
     """
     _, E, e = _scaled_edges(g, X, "local variance")
     # Each edge is two ordered pairs, cancelling the 1/2 of 1/(2 * total_degree).
-    return np.ldexp(np.sum(E**2, axis=0) / g.total_degree, 2 * e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sum(E**2, axis=0) / g.total_degree, 2 * e)
 
 
 def geary(g: Graph, x) -> float:
@@ -277,11 +276,12 @@ def local_covariance(g: Graph, X) -> np.ndarray:
     formulas differ by that factor, kept as stated).  For a graph of
     disjoint same-size complete groups this matrix is proportional to
     the within-group covariance of a discriminant analysis on those
-    groups.  Computed on each column scaled by its own power of two.
+    groups.  Computed on each column scaled by its own power of two (inf if out of range).
     """
     _, E, e = _scaled_edges(g, X, "local covariance")
     V = E.T @ E / (2 * g.total_degree)
-    return np.ldexp((V + V.T) / 2.0, e[:, None] + e)
+    with np.errstate(over="ignore"):
+        return np.ldexp((V + V.T) / 2.0, e[:, None] + e)
 
 
 @dataclass(frozen=True)

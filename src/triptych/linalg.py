@@ -81,14 +81,13 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _binary_exponent(a) -> int:
-    """The exponent e of max|a| = m * 2**e with 0.5 <= m < 1 (0 for no nonzero entry).
-
-    ``np.ldexp(a, -e)`` lies in (-1, 1) and is exact unless an entry
-    underflows, so a scale-free formula (a share, a ratio) gives the same
-    bits on the scaled array, and it cannot overflow there.
-    """
-    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+def _unit_scaled(a, axis=None):
+    """``(a / 2**e, e)`` with max|a| = m * 2**e, 0.5 <= m < 1, over the whole array
+    or along ``axis`` (e = 0 for no nonzero entry).  The division is exact unless
+    an entry underflows, so a scale-free formula (a share, a ratio) gives the same
+    bits on the scaled array and cannot overflow there."""
+    e = np.frexp(np.max(np.abs(a), axis=axis, initial=0.0))[1]
+    return np.ldexp(a, -e), e
 
 
 def _symmetrize(M: np.ndarray, name: str) -> np.ndarray:
@@ -134,12 +133,12 @@ def _cholesky_upper(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _semidefinite_factor(M: np.ndarray, name: str) -> np.ndarray:
-    """``G`` with ``G.T @ G = M`` for a semidefinite ``M``: one row per
-    eigenvalue above the zero threshold; a negative one is rejected."""
+    """``G`` with ``G.T @ G = M`` for a semidefinite ``M``: one row per eigenvalue
+    above 1e-12 of the largest; one below -1e-8 of the largest is rejected."""
     ev, E = np.linalg.eigh(M)
     scale = max(ev[-1], 0.0) if ev.size else 0.0
-    keep = ev > ZERO_EIGENVALUE_RTOL * max(scale, 1.0)
-    if np.any(ev < -1e-8 * max(scale, 1.0)):
+    keep = ev > ZERO_EIGENVALUE_RTOL * scale
+    if np.any(ev < -1e-8 * scale):
         raise ValueError(f"{name} has a significantly negative eigenvalue")
     return (E[:, keep] * np.sqrt(ev[keep])).T
 
@@ -314,11 +313,11 @@ def _tie_flags(lam: np.ndarray) -> np.ndarray:
 
 
 def _orient_columns(primary: np.ndarray, *linked: np.ndarray) -> None:
-    """Flip column signs in place so each primary column's largest-magnitude
-    entry is positive; linked matrices get the same flips."""
+    """Flip column signs in place so each primary column's largest-magnitude entry
+    (the first within TIE_RTOL of it) is positive; linked matrices get the same flips."""
     if not primary.size:  # argmax refuses a matrix with no rows
         return
-    lead = np.argmax(np.abs(primary), axis=0)
+    lead = np.argmax(np.abs(primary) >= (1.0 - TIE_RTOL) * np.abs(primary).max(axis=0), axis=0)
     flip = primary[lead, np.arange(primary.shape[1])] < 0
     for M in (primary, *linked):
         np.negative(M, out=M, where=flip)
@@ -422,8 +421,8 @@ def decompose_gram_metric(
     Used when the variable metric is a Gram-type product (such as an
     instrumental-variable metric) and therefore only positive
     semidefinite.  The metric is factored through its eigendecomposition,
-    ``G.T @ G = Q`` with one row of ``G`` per positive metric eigenvalue,
-    instead of a Cholesky; a significantly negative eigenvalue is
+    ``G.T @ G = Q`` with one row of ``G`` per metric eigenvalue above 1e-12 of
+    the largest, instead of a Cholesky; one below -1e-8 of the largest is
     rejected.  ``X``, ``metric`` and ``weights`` are validated as ``X``, ``Q``
     and ``D`` in :func:`make_triple`; the triple they form with that
     factor goes to :func:`decompose`.

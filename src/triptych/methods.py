@@ -36,11 +36,11 @@ from .linalg import (
     # unused here; perfbench/tracing.py rebinds them in this module
     make_triple, center_columns, decompose_gram_metric,  # noqa: F401
     _as_float_matrix,
-    _binary_exponent,
     _checked_metric,
     _frozen,
     _semidefinite_factor,
     _symmetrize,
+    _unit_scaled,
     _weight_vector,
 )
 from .scree import ScreeTable
@@ -64,8 +64,7 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     overflow."""
     if weights is None:
         return np.full(n, 1.0 / n)
-    w = _weight_vector(weights, n, "weights")
-    w = np.ldexp(w, -_binary_exponent(w))
+    w, _ = _unit_scaled(_weight_vector(weights, n, "weights"))
     # a weight that underflows in the rescaling is rejected, not kept as 0
     return _weight_vector(w / np.sum(w), n, "weights")
 
@@ -361,11 +360,11 @@ def _weighted_qr(X: np.ndarray, w: np.ndarray, name: str, other=None,
 def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     """Linear discriminant analysis.
 
-    Centers ``X`` with the row weights, splits the total covariance T
-    into between-group B plus within-group W (an identity this routine
-    verifies), and decomposes the triple whose data matrix holds the
-    group means, with the inverse total covariance (factored by weighted
-    QR, never inverted) as variable metric and the group masses as
+    Centers ``X`` with the row weights, splits the total covariance T into between-group
+    B plus within-group W (an identity this routine verifies; the moments are formed on
+    Xc / 2**e, exactly, and scaled back, inf past the float range), and decomposes the
+    triple whose data matrix holds the group means, with the inverse total covariance
+    (factored by weighted QR, never inverted) as variable metric and the group masses as
     weights.  Eigenvalues are the discriminating ratios a'Ba / a'Ta in [0, 1].
 
     Row coordinates are the observation scores on the discriminant
@@ -399,18 +398,21 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
         raise ValueError("lda needs at least two groups")
     w = _normalized_weights(weights, n)
     Xc, Ri, _ = _weighted_qr(X, w, "total covariance")
-    wXc = w[:, None] * Xc
-    T = _symmetrize(wXc.T @ Xc, "T")
+    Xs, e = _unit_scaled(Xc)
+    wXs = w[:, None] * Xs
+    T = _symmetrize(wXs.T @ Xs, "T")
     group_mass = w @ Y
-    means = (Y.T @ wXc) / group_mass[:, None]
+    means = (Y.T @ wXs) / group_mass[:, None]
     between = _symmetrize((group_mass[:, None] * means).T @ means, "B")
-    resid_mat = Xc - Y @ means
+    resid_mat = Xs - Y @ means
     within = _symmetrize((w[:, None] * resid_mat).T @ resid_mat, "W")
-    split_residual = float(np.max(np.abs(T - between - within)))
-    if split_residual > 1e-8 * max(np.max(np.abs(T)), 1.0):
-        raise np.linalg.LinAlgError(
-            f"covariance split failed numerically (residual {split_residual:.3e})"
-        )
+    split = np.max(np.abs(T - between - within))
+    if split > 1e-8 * np.max(np.abs(T)):
+        raise np.linalg.LinAlgError("covariance split failed numerically (residual "
+                                    f"{split / np.max(np.abs(T)):.3e} of max|T|)")
+    with np.errstate(over="ignore"):
+        T, between, within, split = (np.ldexp(M, 2 * e) for M in (T, between, within, split))
+    means = np.ldexp(means, e)
     d = decompose(Triple(means, Ri.T, group_mass))
     disc = Ri @ (Ri.T @ d.axis_basis)
     return MethodResult(
@@ -427,7 +429,7 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
             "within": within,
             "total": T,
             "group_labels": groups.group_labels,
-            "split_residual": split_residual,
+            "split_residual": float(split),
         },
     )
 
@@ -447,10 +449,11 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     operator, and at rank ``q`` the fitted operator built from the
     leading axes is the best rank-q approximation.
 
-    No covariance is inverted: the weighted QR of X gives the regression
-    coefficients ``A = inv(Sxx) @ Sxy``, so ``R = A @ Qy @ A.T`` has the
-    metric factor ``Gy @ A.T`` with ``Gy.T @ Gy = Qy`` (an eigen-factor, as
-    ``Qy`` may be semidefinite).  ``R``, usually singular, is not factored.
+    No covariance is inverted: the weighted QR of X gives the regression coefficients
+    ``A = inv(Sxx) @ Sxy``, so ``R = A @ Qy @ A.T`` has the metric factor ``Gy @ A.T``
+    with ``Gy.T @ Gy = Qy`` (an eigen-factor, as ``Qy`` may be semidefinite).  ``R``,
+    usually singular, is not factored; it and ``M`` below are formed from A / 2**e,
+    exactly, and scaled back, so one past the float range is inf.
 
     Parameters
     ----------
@@ -480,12 +483,14 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
           else _checked_metric(response_metric, Y.shape[1], "response_metric", "Y"))
     Xc, Ri, QtY = _weighted_qr(X, w, "explanatory covariance", Yc)
     A = Ri @ QtY
-    R = _symmetrize(A @ Qy @ A.T, "R")
+    As, e = _unit_scaled(A)
+    R = _symmetrize(As @ Qy @ As.T, "R")
     d = decompose(Triple(Xc, _semidefinite_factor(Qy, "response_metric") @ A.T, w), q)
     if q is not None and q > d.rank:
         raise ValueError(f"requested rank {q} exceeds the attainable rank {d.rank}")
-    Zq = d.axis_basis
-    constrained = _symmetrize(R @ Zq @ Zq.T @ R, "M")
+    Zq = np.ldexp(d.axis_basis, e)
+    with np.errstate(over="ignore"):
+        R, constrained = (np.ldexp(M, 2 * e) for M in (R, _symmetrize(R @ Zq @ Zq.T @ R, "M")))
     return MethodResult(
         method="pcaiv",
         decomposition=d,

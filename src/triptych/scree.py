@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _binary_exponent
+from .linalg import _unit_scaled
 
 __all__ = ["ScreeRow", "ScreeTable"]
 
@@ -50,7 +50,7 @@ class ScreeTable:
         lam = _checked_eigenvalues(eigenvalues)
         if lam.size == 0:
             return cls(rows=())
-        unit = np.ldexp(lam, -_binary_exponent(lam))
+        unit, _ = _unit_scaled(lam)
         total = float(np.sum(unit))
         if total <= 0.0:
             raise ValueError("total inertia must be positive for a scree table")

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -527,6 +528,45 @@ class TestGraphCommands:
         # classical_ratio and geary_c
         assert lines[1][3:] == lines[0][3:]
         assert lines[0][3:] == ["1.02857", "0.327273"]
+
+    def test_geary_names_columns_past_the_float_range(self, tmp_path):
+        """Covariates x 1e200: both raw-unit columns (~1e400) print inf with
+        one WARNING line per column, the ratios print as at unit scale, and
+        no Python warning is raised."""
+        ring = tmp_path / "ring.csv"
+        ring.write_text("a,b\nb,c\nc,d\nd,e\ne,f\nf,a\na,d\n")
+        rows = {"a": (1, 0), "b": (2, 1), "c": (4, 0), "d": (3, 2), "e": (5, 1), "f": (0, 3)}
+        lines = []
+        for name, c in (("nodes.csv", 1.0), ("huge.csv", 1e200)):
+            table = tmp_path / name
+            table.write_text("id,x,y\n" + "".join(f"{k},{x * c!r},{y * c!r}\n"
+                                                    for k, (x, y) in rows.items()))
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "triptych.cli", "geary",
+                 str(ring), str(table)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines.append([line.split("\t") for line in proc.stdout.splitlines()[1:]])
+        assert proc.stderr.splitlines() == [
+            f"WARNING: {table}: column '{col}': local variance and variance "
+            "do not fit in a float" for col in "xy"
+        ]
+        for unit, huge in zip(*lines):
+            assert huge[1:3] == ["inf", "inf"]
+            assert huge[3:] == unit[3:]
+
+    def test_geary_names_the_one_column_past_the_float_range(self, tmp_path, capsys):
+        # alternating +-a: the local variance 4a^2 overflows, the variance a^2 does not
+        ring = write_edges(tmp_path / "ring.csv", ring_edges(6))
+        table = tmp_path / "nodes.csv"
+        table.write_text("id,x\n" + "".join(f"v{i},{(-1) ** i * 1e154!r}\n" for i in range(6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["geary", str(ring), str(table)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split("\t")[1:3] == ["inf", "1e+308"]
+        assert err == f"WARNING: {table}: column 'x': local variance does not fit in a float\n"
 
     def test_layout_spectrum_mode(self, path_edges, capsys):
         assert run_command(["layout", str(path_edges)]) == 0

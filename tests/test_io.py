@@ -41,6 +41,16 @@ class TestReadTable:
         ds = read_table(path, delimiter="\t")
         assert ds.col_labels == ("a,x", "b")
 
+    def test_library_delimiter_must_be_one_character(self, tmp_path):
+        # the CLI rejects such a --delimiter as a usage error; library callers
+        # get this check
+        table = make_file(tmp_path, "t.csv", "id,a\nr1,1\n")
+        edges = make_file(tmp_path, "e.csv", "a,b\nb,c\n")
+        with pytest.raises(ValueError, match="delimiter must be a single character"):
+            read_table(table, delimiter="ab")
+        with pytest.raises(ValueError, match="delimiter must be a single character"):
+            read_edges(edges, delimiter="")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = make_file(tmp_path, "t.csv", "id,a\n\nr1,1\n\n\nr2,2\n")
         ds = read_table(path)

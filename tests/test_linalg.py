@@ -389,6 +389,18 @@ class TestGramMetricPath:
         # both paths share one sign orientation, so the bases agree signed
         npt.assert_allclose(gram.axis_basis, strict.axis_basis, atol=1e-8)
 
+    def test_metric_cut_is_relative_to_the_metric(self):
+        """Q * 1e-20 with X * 1e10 is the same triple in other units: its
+        eigenvalues lie far below 1, and they are kept all the same."""
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((30, 4))
+        B = rng.standard_normal((4, 3))
+        Q, w = B @ B.T, rng.uniform(0.5, 2.0, 30)
+        ref = decompose_gram_metric(X, Q, w)
+        got = decompose_gram_metric(X * 1e10, Q * 1e-20, w)
+        assert ref.rank == got.rank == 3
+        npt.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-10)
+
     def test_zero_metric(self):
         d = decompose_gram_metric(np.ones((4, 3)), np.zeros((3, 3)), np.eye(4) / 4)
         assert d.rank == 0

@@ -263,6 +263,17 @@ class TestChiSquare:
 
 
 class TestCa:
+    def test_tied_axis_entries_orient_alike_in_any_row_order(self):
+        """Equal column totals make both entries of the one axis tie in
+        magnitude; the first leads whatever order the rows come in, so
+        roundoff does not pick the sign."""
+        N = np.array([[2.0, 8.0], [3.0, 2.0], [8.0, 2.0], [4.0, 5.0]])
+        perm = [3, 2, 0, 1]
+        ref, got = ca(ContingencyTable(N)), ca(ContingencyTable(N[perm]))
+        assert ref.col_coords[0, 0] > 0
+        npt.assert_allclose(got.col_coords, ref.col_coords, rtol=1e-12)
+        npt.assert_allclose(got.row_coords, ref.row_coords[perm], rtol=1e-12)
+
     def test_exact_independence(self):
         counts = np.outer([1, 2, 3], [2, 1, 1, 4])
         res = ca(ContingencyTable(counts))
@@ -979,6 +990,13 @@ class TestNearCollinearBlocks:
             run(collinear)
 
 
+def _unit_free_problem():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((60, 5)) @ (np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
+    Y = X[:, :2] @ rng.standard_normal((2, 3)) + rng.standard_normal((60, 3))
+    return X, Y, rng.uniform(0.5, 2.0, 60)
+
+
 _UNIT_FREE = {
     "lda": lambda X, Y, w: lda(X, [f"g{i % 3}" for i in range(len(X))], weights=w)
     .extras["discriminating_ratios"],
@@ -992,20 +1010,52 @@ _UNIT_FREE = {
 @pytest.mark.parametrize(
     "method,c",
     [(m, c) for m in ("lda", "cca") for c in (1e-160, 1e-7, 1e7, 1e160)]
-    + [("pcaiv", c) for c in (1e-150, 1e-7, 1e7, 1e150)]
+    + [("pcaiv", c) for c in (1e-160, 1e-150, 1e-7, 1e7, 1e150)]
     + [("pca", c) for c in (1e-150, 1e-13, 1e13, 1e150)],
 )
 def test_unit_free_results_ignore_data_scale(method, c):
     """lda ratios, cca correlations, pcaiv eigenvalues and standardized
     pca eigenvalues of (X * c, Y) equal those of (X, Y) across the double
     range."""
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((60, 5)) @ (np.eye(5) + 0.3 * rng.standard_normal((5, 5)))
-    Y = X[:, :2] @ rng.standard_normal((2, 3)) + rng.standard_normal((60, 3))
-    w = rng.uniform(0.5, 2.0, 60)
+    X, Y, w = _unit_free_problem()
     ref = _UNIT_FREE[method](X, Y, w)
     assert ref.size >= 2
     npt.assert_allclose(_UNIT_FREE[method](X * c, Y, w), ref, rtol=1e-12)
+
+
+def test_lda_extras_past_the_float_range_are_inf():
+    """At X * 1e160 the covariances (~1e320) do not fit in a float: they come
+    back inf, without a warning, while the ratios and the split residual,
+    formed at unit scale, stay right."""
+    X, _, w = _unit_free_problem()
+    groups = [f"g{i % 3}" for i in range(60)]
+    ref = lda(X, groups, weights=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lda(X * 1e160, groups, weights=w)
+    npt.assert_allclose(got.extras["discriminating_ratios"],
+                        ref.extras["discriminating_ratios"], rtol=1e-12)
+    for name in ("total", "between", "within"):
+        assert np.all(np.isposinf(np.diagonal(got.extras[name]))), name
+        assert not np.any(np.isnan(got.extras[name])), name
+    assert np.isfinite(got.extras["split_residual"])
+    npt.assert_allclose(got.extras["group_means"], ref.extras["group_means"] * 1e160,
+                        rtol=1e-12)
+
+
+def test_pcaiv_extras_past_the_float_range_are_inf():
+    """At X * 1e-160 the instrumental metric R grows as 1e320: it comes back
+    inf, not nan, without a warning, and the eigenvalues stay right."""
+    X, Y, w = _unit_free_problem()
+    ref = pcaiv(X, Y, weights=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pcaiv(X * 1e-160, Y, weights=w)
+    npt.assert_allclose(got.decomposition.eigenvalues, ref.decomposition.eigenvalues,
+                        rtol=1e-12)
+    for name in ("instrumental_metric", "constrained_metric"):
+        assert np.all(np.isposinf(np.diagonal(got.extras[name]))), name
+        assert not np.any(np.isnan(got.extras[name])), name
 
 
 # One n x n float array at n = 3000 takes 72 MB; O(n p) work stays far below.

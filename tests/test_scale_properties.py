@@ -1,8 +1,8 @@
 """Property tests of scale invariance: ca under count scaling, the RV
 coefficients under scaling one operator or one triple's data, and, bit for
 bit under a power of two, the RV coefficients, the Geary ratios, the local
-variance and covariance of node covariates and the weighted methods under
-scaled weights.
+variance and covariance of node covariates, the weighted methods under
+scaled weights, and lda and pcaiv under scaled data.
 
 hypothesis is in the ``test`` extra; without it this module is skipped
 and the rest of the suite still runs.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from triptych import (  # noqa: E402
     ContingencyTable, ca, classical_geary, geary, lda, local_covariance, local_variance,
-    make_graph, make_triple, pca, rv, rv_triples,
+    make_graph, make_triple, pca, pcaiv, rv, rv_triples,
 )
 
 from graph_helpers import ring_with_chords  # noqa: E402
@@ -141,6 +141,15 @@ def _representable(expected):
     return np.isfinite(expected) & ((expected == 0) | normal)
 
 
+def _assert_scaled(got, ref, k):
+    """``got`` equals ``ref * 2**k`` bit for bit wherever that is representable;
+    entries out of range are not compared."""
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(ref, k)
+    keep = _representable(want)
+    npt.assert_array_equal(got[keep], want[keep], strict=True)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 40), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_covariate_statistics_follow_each_columns_power_of_two(n, p, seed, data):
@@ -150,15 +159,8 @@ def test_covariate_statistics_follow_each_columns_power_of_two(n, p, seed, data)
     Xk = np.ldexp(X, k)
     if np.all(np.ptp(X, axis=0) > 0):
         npt.assert_array_equal(classical_geary(g, Xk), classical_geary(g, X), strict=True)
-    # Where a result is out of range, computing it overflows; those entries
-    # are not compared.
-    with np.errstate(over="ignore", under="ignore"):
-        pairs = ((local_variance(g, Xk), np.ldexp(local_variance(g, X), 2 * k)),
-                 (local_covariance(g, Xk),
-                  np.ldexp(local_covariance(g, X), k[:, None] + k)))
-    for got, want in pairs:
-        keep = _representable(want)
-        npt.assert_array_equal(got[keep], want[keep], strict=True)
+    _assert_scaled(local_variance(g, Xk), local_variance(g, X), 2 * k)
+    _assert_scaled(local_covariance(g, Xk), local_covariance(g, X), k[:, None] + k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,3 +176,39 @@ def test_weighted_methods_are_bitwise_unchanged_by_scaling_weights(n, p, seed, k
         for a, b in ((ref.decomposition.eigenvalues, got.decomposition.eigenvalues),
                      (ref.row_coords, got.row_coords), (ref.col_coords, got.col_coords)):
             npt.assert_array_equal(b, a, strict=True)
+
+
+# Data exponents for lda and pcaiv.  Their covariances and metrics scale as
+# 4**k or 4**-k, so near |k| = 512 they reach the ends of the float range;
+# two thirds of the draws fall there, half on each side.
+data_exponents = (st.integers(-600, 600) | st.integers(496, 540)
+                  | st.integers(-540, -496))
+
+
+def _blocks(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, p)), rng.standard_normal((n, 2)),
+            rng.integers(1, 10, n).astype(float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 30), st.integers(1, 3), st.integers(0, 2**32 - 1), data_exponents)
+def test_lda_follows_the_datas_power_of_two(n, p, seed, k):
+    X, _, w = _blocks(n, p, seed)
+    groups = [f"g{i % 3}" for i in range(n)]
+    ref, got = lda(X, groups, weights=w), lda(np.ldexp(X, k), groups, weights=w)
+    npt.assert_array_equal(got.extras["discriminating_ratios"],
+                           ref.extras["discriminating_ratios"], strict=True)
+    for name in ("total", "between", "within"):
+        _assert_scaled(got.extras[name], ref.extras[name], 2 * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 30), st.integers(1, 3), st.integers(0, 2**32 - 1), data_exponents)
+def test_pcaiv_follows_the_datas_power_of_two(n, p, seed, k):
+    X, Y, w = _blocks(n, p, seed)
+    ref, got = pcaiv(X, Y, weights=w), pcaiv(np.ldexp(X, k), Y, weights=w)
+    npt.assert_array_equal(got.decomposition.eigenvalues, ref.decomposition.eigenvalues,
+                           strict=True)
+    _assert_scaled(got.extras["instrumental_metric"], ref.extras["instrumental_metric"],
+                   -2 * k)
