@@ -39,7 +39,7 @@ from .io import (
     write_manifest,
     write_scree,
 )
-from .linalg import TIE_RTOL, ZERO_EIGENVALUE_RTOL, _unit_scaled
+from .linalg import TIE_RTOL, ZERO_EIGENVALUE_RTOL, _scaled_back, _unit_scaled
 from .methods import ContingencyTable, GroupCoding, MethodResult, ca, cca, lda, pca, pcaiv
 
 # Relative eigenvalue gap under which an axis cut triggers a WARNING.
@@ -246,17 +246,21 @@ def _cmd_geary(args) -> int:
     X = _align_rows(ds, g.node_labels, args.table)
     loc = local_variance(g, X)
     Xs, e = _unit_scaled(X, axis=0)
-    with np.errstate(over="ignore"):
-        var = np.ldexp(np.var(Xs, axis=0), 2 * e)
+    var = _scaled_back(np.var(Xs, axis=0), 2 * e)
     classical = classical_geary(g, X)
     general = [geary(g, X[:, j]) for j in range(X.shape[1])]
+    # Out of range: inf, or below the normal range though positive, as the variance always
+    # is (classical_geary rejects constant columns) and the local variance where the ratio is.
+    tiny = np.finfo(float).tiny
+    lost = {"local variance": (loc == np.inf) | (loc < tiny) & (classical > 0),
+            "variance": (var == np.inf) | (var < tiny)}
     print("column\tlocal_variance\tvariance\tclassical_ratio\tgeary_c")
     for j, lab in enumerate(ds.col_labels):
         print(f"{lab}\t{loc[j]:.6g}\t{var[j]:.6g}\t{classical[j]:.6g}\t{general[j]:.6g}")
-        big = [s for s, v in (("local variance", loc[j]), ("variance", var[j])) if v == np.inf]
-        if big:
-            print(f"WARNING: {args.table}: column '{lab}': {' and '.join(big)} "
-                  f"do{'es' * (len(big) == 1)} not fit in a float", file=sys.stderr)
+        names = [s for s, out in lost.items() if out[j]]
+        if names:
+            print(f"WARNING: {args.table}: column '{lab}': {' and '.join(names)} "
+                  f"do{'es' * (len(names) == 1)} not fit in a float", file=sys.stderr)
     return 0
 
 

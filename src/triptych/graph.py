@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _orient_columns, _tie_flags, _unit_scaled
+from .linalg import _orient_columns, _scaled_back, _tie_flags, _unit_scaled
 from .methods import MethodResult, _check_labels, pcaiv
 
 if TYPE_CHECKING:
@@ -231,14 +231,13 @@ def local_variance(g: Graph, X) -> np.ndarray:
 
     For column x this is the double sum of adjacency-weighted squared
     differences over ordered node pairs, divided by twice the total
-    degree; equivalently x' (Dg - M) x / total_degree.  Summed over the
-    edge list on each column scaled by its own power of two: exactly zero
-    for a constant column, and finite whenever the result is (else inf).
+    degree; equivalently x' (Dg - M) x / total_degree.  Summed over the edge list
+    on each column scaled by its own power of two: exactly zero for a constant
+    column, inf above the float range, 0 or subnormal below it, no warning.
     """
     _, E, e = _scaled_edges(g, X, "local variance")
     # Each edge is two ordered pairs, cancelling the 1/2 of 1/(2 * total_degree).
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.sum(E**2, axis=0) / g.total_degree, 2 * e)
+    return _scaled_back(np.sum(E**2, axis=0) / g.total_degree, 2 * e)
 
 
 def geary(g: Graph, x) -> float:
@@ -272,16 +271,15 @@ def classical_geary(g: Graph, X) -> np.ndarray:
 def local_covariance(g: Graph, X) -> np.ndarray:
     """Covariance-like matrix X' (Dg - M) X / (2 * total_degree).
 
-    Its diagonal is half the per-column local variance (the two source
-    formulas differ by that factor, kept as stated).  For a graph of
-    disjoint same-size complete groups this matrix is proportional to
-    the within-group covariance of a discriminant analysis on those
-    groups.  Computed on each column scaled by its own power of two (inf if out of range).
+    Its diagonal is half the per-column local variance (the two source formulas differ
+    by that factor, kept as stated).  For a graph of disjoint same-size complete groups
+    this matrix is proportional to the within-group covariance of a discriminant analysis
+    on those groups.  Computed on each column scaled by its own power of two: an entry
+    past the float range is inf or -inf, one below it 0 or subnormal, no warning.
     """
     _, E, e = _scaled_edges(g, X, "local covariance")
     V = E.T @ E / (2 * g.total_degree)
-    with np.errstate(over="ignore"):
-        return np.ldexp((V + V.T) / 2.0, e[:, None] + e)
+    return _scaled_back((V + V.T) / 2.0, e[:, None] + e)
 
 
 @dataclass(frozen=True)
@@ -370,9 +368,8 @@ def _smallest_pairs(
     s = 1.0 / np.sqrt(g.degrees)
     mu = None
     A = g.csr
+    SMS = csr_array((s[_csr_rows(A)] * A.data * s[A.indices], A.indices, A.indptr), shape=(n, n))
     if (m + 1) * _NODES_PER_SPARSE_PAIR <= n:
-        SMS = csr_array((s[_csr_rows(A)] * A.data * s[A.indices], A.indices, A.indptr),
-                        shape=(n, n))
         # scipy's default basis size; each restart adds ncv - (m + 1) products.
         ncv = max(2 * m + 3, 20)
         restarts = n * n // (_DENSE_SOLVE_PER_LANCZOS_UNIT * ncv * (ncv - m - 1))
@@ -385,9 +382,7 @@ def _smallest_pairs(
         except ArpackNoConvergence:
             pass
     if mu is None:
-        B = A.toarray(order="F")
-        B *= s[:, None]
-        B *= s
+        B = SMS.toarray(order="F")
         np.negative(B, out=B)
         # M has no loops, so this diagonal is zero before the identity is added.
         np.fill_diagonal(B, 1.0)

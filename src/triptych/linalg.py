@@ -90,6 +90,13 @@ def _unit_scaled(a, axis=None):
     return np.ldexp(a, -e), e
 
 
+def _scaled_back(a, e):
+    """``a * 2**e``, the way back from :func:`_unit_scaled`: exact while the result is a
+    normal float, inf past the float range, 0 or subnormal below it, no warning either way."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(a, e)
+
+
 def _symmetrize(M: np.ndarray, name: str) -> np.ndarray:
     """Average ``M`` with its transpose; reject if visibly asymmetric."""
     scale = np.max(np.abs(M)) if M.size else 0.0

@@ -38,6 +38,7 @@ from .linalg import (
     _as_float_matrix,
     _checked_metric,
     _frozen,
+    _scaled_back,
     _semidefinite_factor,
     _symmetrize,
     _unit_scaled,
@@ -362,10 +363,10 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
 
     Centers ``X`` with the row weights, splits the total covariance T into between-group
     B plus within-group W (an identity this routine verifies; the moments are formed on
-    Xc / 2**e, exactly, and scaled back, inf past the float range), and decomposes the
-    triple whose data matrix holds the group means, with the inverse total covariance
-    (factored by weighted QR, never inverted) as variable metric and the group masses as
-    weights.  Eigenvalues are the discriminating ratios a'Ba / a'Ta in [0, 1].
+    Xc / 2**e, exactly, and scaled back: inf above the float range, 0 or subnormal below
+    it, no warning), and decomposes the triple whose data matrix holds the group means,
+    with the inverse total covariance (factored by weighted QR, never inverted) as variable
+    metric and the group masses as weights.  Eigenvalues are the ratios a'Ba / a'Ta in [0, 1].
 
     Row coordinates are the observation scores on the discriminant
     vectors (each scaled so a'Ta = 1); column coordinates are the
@@ -410,9 +411,8 @@ def lda(X, groups: GroupCoding, weights=None) -> MethodResult:
     if split > 1e-8 * np.max(np.abs(T)):
         raise np.linalg.LinAlgError("covariance split failed numerically (residual "
                                     f"{split / np.max(np.abs(T)):.3e} of max|T|)")
-    with np.errstate(over="ignore"):
-        T, between, within, split = (np.ldexp(M, 2 * e) for M in (T, between, within, split))
-    means = np.ldexp(means, e)
+    T, between, within, split = (_scaled_back(M, 2 * e) for M in (T, between, within, split))
+    means = _scaled_back(means, e)
     d = decompose(Triple(means, Ri.T, group_mass))
     disc = Ri @ (Ri.T @ d.axis_basis)
     return MethodResult(
@@ -452,8 +452,8 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     No covariance is inverted: the weighted QR of X gives the regression coefficients
     ``A = inv(Sxx) @ Sxy``, so ``R = A @ Qy @ A.T`` has the metric factor ``Gy @ A.T``
     with ``Gy.T @ Gy = Qy`` (an eigen-factor, as ``Qy`` may be semidefinite).  ``R``,
-    usually singular, is not factored; it and ``M`` below are formed from A / 2**e,
-    exactly, and scaled back, so one past the float range is inf.
+    usually singular, is not factored; it and ``M`` below are formed from A / 2**e, exactly,
+    and scaled back: inf above the float range, 0 or subnormal below it, no warning.
 
     Parameters
     ----------
@@ -488,9 +488,8 @@ def pcaiv(X, Y, response_metric=None, weights=None, q: int | None = None) -> Met
     d = decompose(Triple(Xc, _semidefinite_factor(Qy, "response_metric") @ A.T, w), q)
     if q is not None and q > d.rank:
         raise ValueError(f"requested rank {q} exceeds the attainable rank {d.rank}")
-    Zq = np.ldexp(d.axis_basis, e)
-    with np.errstate(over="ignore"):
-        R, constrained = (np.ldexp(M, 2 * e) for M in (R, _symmetrize(R @ Zq @ Zq.T @ R, "M")))
+    Zq = _scaled_back(d.axis_basis, e)
+    R, constrained = (_scaled_back(M, 2 * e) for M in (R, _symmetrize(R @ Zq @ Zq.T @ R, "M")))
     return MethodResult(
         method="pcaiv",
         decomposition=d,

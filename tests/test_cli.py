@@ -504,6 +504,24 @@ class TestSingularBlocks:
         assert ("column 2 is constant or collinear" in err) == (rows == 6)
 
 
+def _geary_on_ci_ring(tmp_path, name, c):
+    """Run ``python -W error -m triptych.cli geary`` on the CI workflow's 6-node
+    ring with its two covariates times ``c``, written to ``name``; return the
+    table path, the output rows split on tabs, and stderr."""
+    ring = tmp_path / "ring.csv"
+    ring.write_text("a,b\nb,c\nc,d\nd,e\ne,f\nf,a\na,d\n")
+    rows = {"a": (1, 0), "b": (2, 1), "c": (4, 0), "d": (3, 2), "e": (5, 1), "f": (0, 3)}
+    table = tmp_path / name
+    table.write_text("id,x,y\n" + "".join(f"{k},{x * c!r},{y * c!r}\n"
+                                            for k, (x, y) in rows.items()))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "triptych.cli", "geary", str(ring), str(table)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return table, [line.split("\t") for line in proc.stdout.splitlines()[1:]], proc.stderr
+
+
 class TestGraphCommands:
     def test_geary_table(self, path_edges, tmp_path, capsys):
         table = tmp_path / "nodes.csv"
@@ -533,28 +551,44 @@ class TestGraphCommands:
         """Covariates x 1e200: both raw-unit columns (~1e400) print inf with
         one WARNING line per column, the ratios print as at unit scale, and
         no Python warning is raised."""
-        ring = tmp_path / "ring.csv"
-        ring.write_text("a,b\nb,c\nc,d\nd,e\ne,f\nf,a\na,d\n")
-        rows = {"a": (1, 0), "b": (2, 1), "c": (4, 0), "d": (3, 2), "e": (5, 1), "f": (0, 3)}
-        lines = []
-        for name, c in (("nodes.csv", 1.0), ("huge.csv", 1e200)):
-            table = tmp_path / name
-            table.write_text("id,x,y\n" + "".join(f"{k},{x * c!r},{y * c!r}\n"
-                                                    for k, (x, y) in rows.items()))
-            proc = subprocess.run(
-                [sys.executable, "-W", "error", "-m", "triptych.cli", "geary",
-                 str(ring), str(table)],
-                capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            lines.append([line.split("\t") for line in proc.stdout.splitlines()[1:]])
-        assert proc.stderr.splitlines() == [
+        _, unit_rows, _ = _geary_on_ci_ring(tmp_path, "nodes.csv", 1.0)
+        table, huge_rows, err = _geary_on_ci_ring(tmp_path, "huge.csv", 1e200)
+        assert err.splitlines() == [
             f"WARNING: {table}: column '{col}': local variance and variance "
             "do not fit in a float" for col in "xy"
         ]
-        for unit, huge in zip(*lines):
+        for unit, huge in zip(unit_rows, huge_rows):
             assert huge[1:3] == ["inf", "inf"]
             assert huge[3:] == unit[3:]
+
+    def test_geary_names_columns_below_the_float_range(self, tmp_path):
+        """Covariates x 1e-200: both raw-unit columns (~1e-400) print 0 with
+        one WARNING line per column, the ratios print as at unit scale, and
+        no Python warning is raised; at unit scale stderr stays empty."""
+        _, unit_rows, unit_err = _geary_on_ci_ring(tmp_path, "nodes.csv", 1.0)
+        table, tiny_rows, err = _geary_on_ci_ring(tmp_path, "tiny.csv", 1e-200)
+        assert unit_err == ""
+        assert err.splitlines() == [
+            f"WARNING: {table}: column '{col}': local variance and variance "
+            "do not fit in a float" for col in "xy"
+        ]
+        for unit, tiny in zip(unit_rows, tiny_rows):
+            assert tiny[1:3] == ["0", "0"]
+            assert tiny[3:] == unit[3:]
+
+    def test_geary_names_only_a_positive_value_below_the_float_range(self, tmp_path, capsys):
+        # constant on each of two triangles: the local variance is exactly 0
+        # and fits, the variance (~1e-400) does not
+        edges = tmp_path / "two.csv"
+        edges.write_text("a,b\nb,c\na,c\nx,y\ny,z\nx,z\n")
+        table = tmp_path / "nodes.csv"
+        table.write_text("id,v\n" + "".join(f"{k},{1e-200 * (k in 'xyz')!r}\n" for k in "abcxyz"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(["geary", str(edges), str(table)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split("\t")[1:4] == ["0", "0", "0"]
+        assert err == f"WARNING: {table}: column 'v': variance does not fit in a float\n"
 
     def test_geary_names_the_one_column_past_the_float_range(self, tmp_path, capsys):
         # alternating +-a: the local variance 4a^2 overflows, the variance a^2 does not

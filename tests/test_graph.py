@@ -543,6 +543,20 @@ class TestSpectrum:
         assert not only.vectors.flags.writeable
         assert not only.eigenvalues.flags.writeable
 
+    def test_nonzero_leading_eigenvalue_rejected(self, monkeypatch):
+        """A connected graph's leading mu is 0; a solver that returns anything
+        else is caught before the trivial pair is dropped."""
+        solve = triptych.graph._smallest_pairs
+
+        def shifted(g, m, vectors):
+            mu, X = solve(g, m, vectors)
+            return mu + 0.1, X
+
+        monkeypatch.setattr(triptych.graph, "_smallest_pairs", shifted)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"expected a zero leading eigenvalue, got 1\.000e-01"):
+            spectrum(path_graph(4))
+
     @pytest.mark.parametrize("vectors", [True, False])
     def test_errors_with_and_without_vectors(self, vectors):
         with pytest.raises(ValueError, match=r"disconnected \(2 components\)"):

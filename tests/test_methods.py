@@ -539,6 +539,17 @@ class TestLda:
             rtol=1e-10,
         )
 
+    def test_failed_covariance_split_rejected(self, monkeypatch):
+        """T = B + W is checked, not assumed: a within-group covariance that
+        comes back doubled is caught before anything is scaled back."""
+        symmetrize = triptych.methods._symmetrize
+        monkeypatch.setattr(triptych.methods, "_symmetrize",
+                            lambda M, name: symmetrize(M, name) * (2.0 if name == "W" else 1.0))
+        X = np.random.default_rng(40).standard_normal((12, 2))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="covariance split failed numerically"):
+            lda(X, ["a", "b", "c"] * 4)
+
     def test_singular_total_covariance(self):
         X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [4.0, 8.0]])
         with pytest.raises(ValueError, match="reduce dimensionality"):

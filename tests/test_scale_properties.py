@@ -134,19 +134,20 @@ def test_geary_is_bitwise_unchanged_by_a_power_of_two(n, seed, data, k):
     assert geary(g, np.ldexp(x, k)) == geary(g, x)
 
 
-def _representable(expected):
-    """Entries of an exact power-of-two rescaling that neither overflow nor
-    fall below the normal range, where rescaling could round."""
-    normal = np.abs(expected) >= np.finfo(float).tiny
-    return np.isfinite(expected) & ((expected == 0) | normal)
+def _representable(ref):
+    """Entries that are zero or normal floats, so they hold their exact value;
+    a subnormal or inf reference is already rounded."""
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    return np.isfinite(ref) & ((ref == 0) | normal)
 
 
 def _assert_scaled(got, ref, k):
-    """``got`` equals ``ref * 2**k`` bit for bit wherever that is representable;
-    entries out of range are not compared."""
+    """``got`` equals ``ref * 2**k`` bit for bit wherever ``ref`` is representable,
+    the out-of-range ends included: there ``ref * 2**k`` and ``got`` round once
+    from the same exact value to inf, a subnormal or 0."""
     with np.errstate(over="ignore", under="ignore"):
         want = np.ldexp(ref, k)
-    keep = _representable(want)
+    keep = _representable(ref)
     npt.assert_array_equal(got[keep], want[keep], strict=True)
 
 
