@@ -15,24 +15,25 @@ eigenvalue relation lambda = (1 - mu)^2.  It is solved in the symmetric
 form (I - S M S) y = mu y with S = Dg^(-1/2) and x = S y, where S M S is
 the standardized table of that correspondence analysis (eigenvalues 1 - mu).
 
-The graph is stored sparse, as a CSR adjacency and its degree vector, so
-reading, validating, splitting into components and the local variance
-statistics (sums over the edge list) all take O(|E|) memory.  An n x n
-array is built only when a caller asks for that operator:
-``Graph.adjacency`` and :func:`laplacian`.  :func:`spectrum` solves a
-connected graph (the eigenproblem splits over :func:`component_subgraphs`)
-for only the pairs it returns, and a request for mu alone (a scree)
-builds no vector matrix.  A graph that needs few pairs for its size, as
-:func:`layout` and :func:`regress_on_covariates` usually do, runs
-ARPACK's Lanczos iteration on the sparse S M S, stopped once its work
-reaches about that of a dense solve.  Any other request, such as
-the full spectrum, runs a dense ``eigh``, which is also the fallback when
-ARPACK stops short: on paths and cycles the smallest mu crowd together as
-1/n^2 and Lanczos needs more work than the dense solve.
+The graph is stored sparse, as a CSR adjacency (row pointers and column
+indices; every stored entry is 1) and its degree vector, so reading,
+validating, splitting into components and the local variance statistics
+(sums over the edge list) all take O(|E|) memory.  An n x n array is
+built only when a caller asks for that operator: ``Graph.adjacency`` and
+:func:`laplacian`.  :func:`spectrum` solves a connected graph (the
+eigenproblem splits over :func:`component_subgraphs`) for only the pairs
+it returns, and a request for mu alone (a scree) builds no vector matrix.
+A graph that needs few pairs for its size, as :func:`layout` and
+:func:`regress_on_covariates` usually do, runs ARPACK's Lanczos iteration
+on the sparse S M S, stopped once its work reaches about that of a dense
+solve.  Any other request, such as the full spectrum, runs a dense
+symmetric eigensolve, which is also the fallback when ARPACK stops short:
+on paths and cycles the smallest mu crowd together as 1/n^2 and Lanczos
+needs more work than the dense solve.
 
-scipy is imported inside the functions that use it, so the table
-analyses, which import this module through the package, run on numpy
-alone.
+scipy is imported only for the Lanczos iteration, a dense solve that
+returns vectors, and ``Graph.csr``; everything else, a mu-only spectrum
+included, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ _DENSE_SOLVE_PER_LANCZOS_UNIT = 32
 class Graph:
     """Simple undirected graph as a sparse symmetric 0/1 adjacency matrix.
 
-    ``csr`` is the adjacency in canonical CSR form (sorted indices, no
-    duplicate or explicit zero entries) over read-only ``data``,
-    ``indices`` and ``indptr`` arrays.  ``total_degree`` is the sum of
-    all degrees, i.e. twice the edge count.  Build through
+    The adjacency is held in canonical CSR form (sorted indices, no
+    duplicate or explicit zero entries) as read-only row pointer and
+    column index arrays; every stored entry is 1.  ``total_degree`` is
+    the sum of all degrees, i.e. twice the edge count.  Build through
     :func:`make_graph`.
     """
 
-    _csr: csr_array = field(repr=False)
+    _indptr: np.ndarray = field(repr=False)
+    _indices: np.ndarray = field(repr=False)
     degrees: np.ndarray
     total_degree: int
     node_labels: tuple[str, ...]
@@ -104,25 +106,27 @@ class Graph:
 
     @property
     def csr(self) -> csr_array:
-        """Sparse adjacency, a new array object on each access over the
-        graph's read-only arrays: inserting entries into it builds new
-        arrays for that object only and cannot change the graph."""
+        """Sparse adjacency (imports scipy), a new array object on each access
+        over the graph's read-only index arrays and read-only ones: inserting
+        entries into it builds new arrays for that object only."""
         from scipy.sparse import csr_array
 
-        A = self._csr
-        return csr_array((A.data, A.indices, A.indptr), shape=A.shape, copy=False)
+        data = np.ones(self.total_degree)
+        data.setflags(write=False)
+        return csr_array((data, self._indices, self._indptr), shape=(self.n_nodes,) * 2)
 
     @property
     def adjacency(self) -> np.ndarray:
         """Dense n x n adjacency, built on each access, read-only."""
-        M = self.csr.toarray()
+        M = np.zeros((self.n_nodes, self.n_nodes))
+        M[_rows(self), self._indices] = 1.0
         M.setflags(write=False)
         return M
 
 
-def _csr_rows(A: csr_array) -> np.ndarray:
+def _rows(g: Graph) -> np.ndarray:
     """Row index of every stored entry, in storage order."""
-    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return np.repeat(np.arange(g.n_nodes), np.diff(g._indptr))
 
 
 def make_graph(adjacency, node_labels=None) -> Graph:
@@ -130,49 +134,58 @@ def make_graph(adjacency, node_labels=None) -> Graph:
     0/1, symmetric, no self loops.  Duplicate sparse entries are summed
     first, and each error names the first offending entry in row-major
     order."""
-    from scipy.sparse import csr_array, issparse
-
-    sparse = issparse(adjacency)
-    M = adjacency if sparse else np.asarray(adjacency, dtype=float)
+    sparse = hasattr(adjacency, "tocoo")
+    M = adjacency.tocoo() if sparse else np.asarray(adjacency, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"adjacency must be a 2-D matrix, got ndim={M.ndim}")
-    # Copy sparse input: the canonicalization below works in place.
-    A = csr_array(M, dtype=float, copy=sparse)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    rows = _csr_rows(A)
+    rows, cols = M.coords if sparse else np.nonzero(M)
+    data = np.asarray(M.data if sparse else M[rows, cols], dtype=float)
+    # Entries as sorted codes row * width + col; duplicates summed, zeros dropped.
+    width = max(M.shape[1], 1)
+    code, at = np.unique(rows.astype(np.int64) * width + cols, return_inverse=True)
+    data = np.bincount(at, weights=data, minlength=code.size)
+    code, data = code[data != 0], data[data != 0]
+    rows, cols = np.divmod(code, width)
 
     def first(mask) -> tuple[int, int]:
         e = np.flatnonzero(mask)[0]
-        return int(rows[e]), int(A.indices[e])
+        return int(rows[e]), int(cols[e])
 
-    if not np.all(np.isfinite(A.data)):
-        i, j = first(~np.isfinite(A.data))
+    if not np.all(np.isfinite(data)):
+        i, j = first(~np.isfinite(data))
         raise ValueError(f"adjacency contains non-finite entries (entry ({i}, {j}))")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"adjacency must be square, got {A.shape}")
-    if np.any(A.data != 1.0):
-        i, j = first(A.data != 1.0)
+    n = M.shape[0]
+    if M.shape[1] != n:
+        raise ValueError(f"adjacency must be square, got {M.shape}")
+    if np.any(data != 1.0):
+        i, j = first(data != 1.0)
         raise ValueError(f"adjacency entries must be 0 or 1 (entry ({i}, {j}) is not)")
-    skew = A - A.T
-    skew.sum_duplicates()
-    skew.eliminate_zeros()
-    if skew.nnz:
-        i, j = int(_csr_rows(skew)[0]), int(skew.indices[0])
+    # The smallest code in one of the pattern and its transpose but not both.
+    skew = np.setxor1d(code, cols * n + rows, assume_unique=True)
+    if skew.size:
+        i, j = divmod(int(skew[0]), n)
         raise ValueError(f"adjacency must be symmetric (entries ({i}, {j}) / ({j}, {i}) differ)")
-    loops = rows[rows == A.indices]
+    loops = rows[rows == cols]
     if loops.size:
         raise ValueError(f"self loops are not allowed (node {int(loops[0])})")
-    return _frozen_graph(A, _check_labels(node_labels, n, "node", "v"))
+    labels = _check_labels(node_labels, n, "node", "v")
+    # Index arrays keep the sparse input's integer width, as scipy does.
+    return _coded_graph(code, labels, np.result_type(np.int32, *M.coords) if sparse else np.int32)
 
 
-def _frozen_graph(A: csr_array, labels: tuple[str, ...]) -> Graph:
-    """Graph over a validated canonical CSR, its arrays made read-only."""
-    degrees = np.diff(A.indptr).astype(float)
-    for part in (A.data, A.indices, A.indptr, degrees):
+def _coded_graph(code: np.ndarray, labels: tuple[str, ...], index_dtype) -> Graph:
+    """Graph, its arrays read-only, over the sorted entry codes row * n + col of a
+    valid adjacency on n = len(labels) nodes, indexed by ``index_dtype`` if it fits."""
+    n = len(labels)
+    if max(code.size, n) > np.iinfo(np.int32).max:
+        index_dtype = np.int64
+    rows, cols = np.divmod(code, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(index_dtype)
+    indices = cols.astype(index_dtype)
+    degrees = np.diff(indptr).astype(float)
+    for part in (indptr, indices, degrees):
         part.setflags(write=False)
-    return Graph(_csr=A, degrees=degrees, total_degree=int(A.nnz), node_labels=labels)
+    return Graph(indptr, indices, degrees, int(indptr[-1]), labels)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -180,25 +193,42 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(g.degrees) - g.adjacency
 
 
+def _components(g: Graph) -> tuple[int, np.ndarray]:
+    """Number of components, and the component of each node numbered by
+    smallest node.  Root hooking with pointer jumping (Shiloach & Vishkin
+    1982): each root hooks onto the smallest root it touches, then pointers
+    jump until each node points at its root, the smallest node of its tree."""
+    rows, cols = _rows(g), g._indices
+    root = np.arange(g.n_nodes)
+    while np.any(cross := root[rows] != root[cols]):
+        np.minimum.at(root, root[rows[cross]], root[cols[cross]])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    roots, labels = np.unique(root, return_inverse=True)
+    return roots.size, labels
+
+
 def component_subgraphs(g: Graph) -> list[tuple[np.ndarray, Graph]]:
     """Connected components as (node index array, subgraph) pairs,
     ordered by smallest node index.  A connected graph is returned as
     itself, ``[(np.arange(n), g)]``."""
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, labels = connected_components(g.csr, directed=False)
+    n_comp, labels = _components(g)
     if n_comp == 1:
         return [(np.arange(g.n_nodes), g)]
-    # Components are numbered by their smallest node.  One stable permutation
-    # makes each a contiguous diagonal block, still in canonical CSR form.
+    # One stable permutation makes each component a contiguous diagonal block
+    # [lo, hi), whose entries are a contiguous run of the sorted codes.
+    n = g.n_nodes
     order = np.argsort(labels, kind="stable")
-    P = g.csr[order][:, order]
-    bounds = np.r_[0, np.cumsum(np.bincount(labels))]
+    where = np.argsort(order)
+    code = np.sort(where[_rows(g)] * n + where[g._indices])
+    bounds = np.r_[0, np.cumsum(np.bincount(labels))].tolist()
+    cuts = np.searchsorted(code, np.multiply(bounds, n)).tolist()
     out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
+        rows, cols = np.divmod(code[a:b] - lo * (n + 1), n)
         idx = order[lo:hi]
-        sub = _frozen_graph(P[lo:hi, lo:hi], tuple(g.node_labels[i] for i in idx))
-        out.append((idx, sub))
+        names = tuple(g.node_labels[i] for i in idx)
+        out.append((idx, _coded_graph(rows * (hi - lo) + cols, names, g._indices.dtype)))
     return out
 
 
@@ -220,10 +250,9 @@ def _scaled_edges(g: Graph, X, name: str) -> tuple[np.ndarray, np.ndarray, np.nd
     if g.total_degree == 0:
         raise ValueError(f"{name} needs at least one edge")
     X, e = _unit_scaled(_covariates(g, X), axis=0)
-    A = g.csr
-    rows = _csr_rows(A)
-    upper = rows < A.indices
-    return X, X[rows[upper]] - X[A.indices[upper]], e
+    rows, cols = _rows(g), g._indices
+    upper = rows < cols
+    return X, X[rows[upper]] - X[cols[upper]], e
 
 
 def local_variance(g: Graph, X) -> np.ndarray:
@@ -318,8 +347,6 @@ def spectrum(g: Graph, k: int | None = None, *, vectors: bool = True) -> GraphSp
         each :func:`component_subgraphs` part instead); k outside
         [1, n - 1].
     """
-    from scipy.sparse.csgraph import connected_components
-
     n = g.n_nodes
     if n == 0:
         raise ValueError("graph has no nodes")
@@ -328,7 +355,7 @@ def spectrum(g: Graph, k: int | None = None, *, vectors: bool = True) -> GraphSp
             f"node '{g.node_labels[0]}' is isolated; "
             "the degree weighting is degenerate there"
         )
-    n_comp = connected_components(g.csr, directed=False, return_labels=False)
+    n_comp = _components(g)[0]
     if n_comp > 1:
         raise ValueError(
             f"graph is disconnected ({n_comp} components); "
@@ -359,37 +386,36 @@ def _smallest_pairs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The m + 1 smallest eigenpairs (mu, x) of a connected graph, mu
     ascending, x orthonormal in the degree metric.  Without ``vectors``
-    the dense solve returns x as None."""
-    from scipy.linalg import eigh
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
+    the dense solve returns x as None and loads no scipy module."""
     n = g.n_nodes
     s = 1.0 / np.sqrt(g.degrees)
+    rows, cols = _rows(g), g._indices
+    sms = s[rows] * s[cols]
     mu = None
-    A = g.csr
-    SMS = csr_array((s[_csr_rows(A)] * A.data * s[A.indices], A.indices, A.indptr), shape=(n, n))
     if (m + 1) * _NODES_PER_SPARSE_PAIR <= n:
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         # scipy's default basis size; each restart adds ncv - (m + 1) products.
         ncv = max(2 * m + 3, 20)
         restarts = n * n // (_DENSE_SOLVE_PER_LANCZOS_UNIT * ncv * (ncv - m - 1))
         try:
             # The largest 1 - mu are the smallest mu.  A fixed seed fixes the
             # starting vector and any restart, so results repeat exactly.
-            w, Y = eigsh(SMS, k=m + 1, which="LA", tol=0, rng=0, ncv=ncv,
-                         maxiter=max(restarts, 1))
+            w, Y = eigsh(csr_array((sms, cols, g._indptr), shape=(n, n)), k=m + 1,
+                         which="LA", tol=0, rng=0, ncv=ncv, maxiter=max(restarts, 1))
             mu, Y = 1.0 - w[::-1], Y[:, ::-1]
         except ArpackNoConvergence:
             pass
     if mu is None:
-        B = SMS.toarray(order="F")
-        np.negative(B, out=B)
+        B = np.zeros((n, n), order="F")
+        B[rows, cols] = -sms
         # M has no loops, so this diagonal is zero before the identity is added.
         np.fill_diagonal(B, 1.0)
-        out = eigh(B, overwrite_a=True, subset_by_index=[0, m], eigvals_only=not vectors)
         if not vectors:
-            return out, None
-        mu, Y = out
+            return np.linalg.eigvalsh(B)[:m + 1], None
+        from scipy.linalg import eigh
+        mu, Y = eigh(B, overwrite_a=True, subset_by_index=[0, m])
     Y *= s[:, None]
     return mu, Y
 

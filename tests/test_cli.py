@@ -173,6 +173,44 @@ def test_table_commands_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_graph_commands_load_no_scipy(tmp_path):
+    """geary, scree-only layout and the graph calls they make run on numpy alone."""
+    ring = write_edges(tmp_path / "ring.csv", ring_with_chords(np.random.default_rng(99), 40))
+    two = tmp_path / "two.csv"
+    two.write_text("a,b\nb,c\na,c\nx,y\ny,z\nx,z\n")
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\n" + "".join(f"v{i},{i % 7},{(i * i) % 11}\n" for i in range(40)))
+    commands = [
+        ["geary", str(ring), str(nodes)],
+        ["layout", str(ring)],
+        ["layout", str(two)],
+    ]
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from triptych import (classical_geary, component_subgraphs, geary, laplacian,\n"
+        "                      local_covariance, local_variance, make_graph, read_edges)\n"
+        "from triptych.cli import run_command\n"
+        "argv, ring, two = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]\n"
+        "codes = [run_command(a) for a in argv]\n"
+        "g = read_edges(ring)\n"
+        "X = np.arange(2.0 * g.n_nodes).reshape(-1, 2) % 5\n"
+        "local_variance(g, X), classical_geary(g, X), local_covariance(g, X)\n"
+        "geary(g, X[:, 0]), laplacian(g)\n"
+        "assert len(component_subgraphs(make_graph(np.asarray(g.adjacency)))) == 1\n"
+        "assert len(component_subgraphs(read_edges(two))) == 2\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.partition('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands), str(ring), str(two)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
+
+
 class TestScreeFirst:
     def test_scree_only_without_axes(self, measurements, tmp_path, capsys):
         assert run_command(["pca", str(measurements)]) == 0
@@ -701,7 +739,7 @@ class TestGraphCommands:
         n = 40
         edges = write_edges(tmp_path / "ring.csv", ring_with_chords(np.random.default_rng(7), n))
         full_solves = []
-        real_eigh = scipy.linalg.eigh
+        real_eigh, real_eigvalsh = scipy.linalg.eigh, np.linalg.eigvalsh
 
         def counting_eigh(a, *args, **kwargs):
             subset = kwargs.get("subset_by_index")
@@ -709,7 +747,12 @@ class TestGraphCommands:
                 full_solves.append((a.shape[0], kwargs.get("eigvals_only", False)))
             return real_eigh(a, *args, **kwargs)
 
+        def counting_eigvalsh(a, *args, **kwargs):
+            full_solves.append((a.shape[0], True))
+            return real_eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         assert run_command(["layout", str(edges), "--axes", "2"]) == 0
         # The scree's one full solve builds no eigenvectors.
         assert full_solves == [(n, True)]
